@@ -5,8 +5,9 @@ Two implementations are compared:
 
 * **re-sort** — recompute the estimate from scratch (sort ``s`` buckets,
   O(s log s) per query), which is what a naive implementation would do;
-* **Bias-Heap** — maintain the partition incrementally (O(log s) per update,
-  O(1) per query), which is what Algorithm 5 provides.
+* **Bias-Heap** — maintain the partition incrementally (an O(log s) search
+  plus an O(distance) rank shift per update, O(1) per query), which is what
+  Algorithm 5 provides.
 
 The bench replays the same update sequence through both and times an
 interleaved update+query workload, verifying they produce the same estimate.

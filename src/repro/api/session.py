@@ -30,6 +30,7 @@ remain available as deprecated shims.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Any, List, Optional, Union
@@ -366,6 +367,8 @@ class SketchSession:
             if shards is not None and shards != 1:
                 raise ConfigError("a single update cannot be sharded")
             delta = 1.0 if deltas is None else float(deltas)
+            if not math.isfinite(delta):
+                raise ValueError("deltas must contain only finite values")
             if self._window is not None:
                 self._window.update(int(data), delta, timestamp=timestamps)
             else:

@@ -2,35 +2,40 @@
 
 The ℓ2 recovery (Algorithm 4, line 2) needs the average of the coordinates
 hashed into the middle ``2k`` of the ``s`` buckets of ``w = Π(g)x``, ordered
-by per-bucket average ``w_i/π_i``.  Re-sorting the buckets on every point
-query would cost O(s log s); the Bias-Heap maintains the partition of buckets
-into *bottom*, *middle* and *top* rank ranges under single-bucket updates in
-O(log s) time, together with the running sums ``Σ_{i∈middle} w_i`` and
-``Σ_{i∈middle} π_i``, so a bias query is O(1).
-
-The paper's Algorithm 5 uses four overlapping heaps (A, B, C, D); this
-implementation keeps the same asymptotics with an equivalent formulation —
-three disjoint sets (bottom / middle / top) backed by indexed heaps exposing
-the boundary elements, rebalanced by boundary swaps after each update.  The
-rank boundaries are ``low = max(0, s//2 - k)`` and ``high = min(s, s//2 + k)``,
-matching the static estimator in
-:class:`repro.core.bias.MiddleBucketsMeanEstimator`.
+by per-bucket average ``w_i/π_i``.  The rank boundaries are
+``low = max(0, s//2 - k)`` and ``high = min(s, s//2 + k)``, matching the
+static estimator in :class:`repro.core.bias.MiddleBucketsMeanEstimator`;
+ranks below ``low`` are the *bottom* set, ranks from ``high`` on the *top*.
 
 Buckets are ranked under the total order ``(w_j/π_j, j)`` — the exact order a
-stable sort of the per-bucket averages produces.  Because the order is total,
-equal averages cannot be assigned to either side of a boundary arbitrarily:
-the incrementally-maintained partition always matches the one a full re-sort
-would build, so the streaming bias estimate is identical to the static one no
-matter how the same bucket sums were reached.
+stable sort of the per-bucket averages produces — so the partition is a
+function of the bucket sums alone and never depends on update order.
+
+The paper's Algorithm 5 keeps the partition in four overlapping heaps; this
+implementation keeps the rank order itself, as three numpy arrays: ``order``
+(rank → bucket), ``rank`` (bucket → rank) and the sorted ``(key, bucket)``
+pairs.  The costs:
+
+* **build / restore** — O(s log s) in numpy: one stable ``argsort`` of the
+  keys plus a left-to-right ``cumsum`` of the middle ranks' ``w`` and ``π``;
+* **update** — an O(log s) ``searchsorted`` for the bucket's new rank plus an
+  O(distance) slice shift of the ranks it passes; the running sums
+  ``Σ_{i∈middle} w_i`` and ``Σ_{i∈middle} π_i`` change only for the buckets
+  that cross a rank boundary;
+* **query** — O(1): ``bias()`` divides the two running sums.
+
+The running sums are accumulated with the same sequence of ``+=``/``-=``
+operations a boundary-swapping heap performs, so every answer is bit-for-bit
+the one the four-heap formulation gives.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from repro.core._indexed_heap import IndexedMinHeap
 from repro.utils.validation import require_positive_int
 
 _BOTTOM = 0
@@ -38,8 +43,24 @@ _MIDDLE = 1
 _TOP = 2
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """``0.0 + v0 + v1 + ...`` accumulated left to right, as a ``+=`` loop does.
+
+    ``np.sum`` adds pairwise and can differ in the last bit; ``cumsum`` adds
+    in order.  Adding ``0.0`` last turns the ``-0.0`` an all-``-0.0`` run
+    leaves into the ``0.0`` a loop starting from ``0.0`` yields.  The middle
+    set is never empty (``high > low`` for every ``s ≥ 1``, ``k ≥ 1``).
+    """
+    return float(np.cumsum(values)[-1]) + 0.0
+
+
 class BiasHeap:
     """Streaming structure maintaining the middle-bucket average of a CM row.
+
+    The buckets are held as a rank array under the total order
+    ``(w/π, bucket)``.  Building it costs O(s log s) in numpy, an
+    :meth:`update` an O(log s) search plus an O(distance) rank shift, and
+    :meth:`bias` O(1).
 
     Parameters
     ----------
@@ -54,11 +75,13 @@ class BiasHeap:
         a sketch that already ingested data); defaults to all zeros.
     initial_locations:
         Optional per-bucket rank-set assignment (0 = bottom, 1 = middle,
-        2 = top) to restore instead of re-deriving the partition by sorting.
-        Used by the state protocol so a deserialized sketch answers bias
-        queries exactly as the serialized one did — including payloads
-        recorded by older versions whose tie handling was update-order
-        dependent.  Set sizes must match the rank boundaries.
+        2 = top) recorded by :attr:`locations`, restored by the state
+        protocol.  The middle sums are taken over the recorded middle set in
+        bucket-index order.  Payloads from versions whose tie handling was
+        update-order dependent may record a set that differs from the
+        canonical partition on ties; the heap answers from the recorded set
+        until the next update re-sorts it.  Set sizes must match the rank
+        boundaries.
     """
 
     def __init__(
@@ -94,68 +117,49 @@ class BiasHeap:
                 )
             self.w = initial_w.copy()
 
-        # Heaps exposing the boundary elements of each rank range.  All four
-        # are min-heaps over composite keys so the rank order is total:
-        # the min-boundary heaps store ``(w/π, bucket)`` and the max-boundary
-        # heaps store ``(-w/π, -bucket)`` (whose minimum is the rank-largest
-        # element).  A total order leaves no tie for update order to break,
-        # which is what keeps incremental maintenance identical to a rebuild.
-        self._bottom_max = IndexedMinHeap()
-        self._middle_min = IndexedMinHeap()
-        self._middle_max = IndexedMinHeap()
-        self._top_min = IndexedMinHeap()
-        self._location = np.empty(s, dtype=np.int8)
-
-        # running sums over the middle set
-        self._middle_w_sum = 0.0
-        self._middle_pi_sum = 0.0
         # global sums (used by the fallback when the middle set is all-empty)
-        self._total_w_sum = float(np.sum(self.w))
         self._total_pi_sum = float(np.sum(self.pi))
+        # the partition a restore recorded, while it differs from the rank order
+        self._recorded: Optional[np.ndarray] = None
 
         if initial_locations is None:
-            self._initialise_partition()
+            self._build()
         else:
-            self._restore_partition(np.asarray(initial_locations))
+            self._restore(np.asarray(initial_locations))
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _key(self, bucket: int) -> float:
-        if self.pi[bucket] > 0:
-            return float(self.w[bucket] / self.pi[bucket])
-        return 0.0
+    def _sort(self) -> None:
+        """Rank every bucket from scratch: ``order``, ``rank`` and sorted pairs."""
+        keys = self._bucket_keys()
+        # a stable argsort over the float keys IS the (key, bucket) total order
+        self._order = np.argsort(keys, kind="stable")
+        self._rank = np.empty(self.buckets, dtype=np.intp)
+        self._rank[self._order] = np.arange(self.buckets)
+        # each rank's (key, bucket) pair as ``key + bucket·j``: numpy orders
+        # complex numbers lexicographically, so one searchsorted finds a rank
+        self._keys = np.empty(self.buckets, dtype=np.complex128)
+        self._keys.real = keys[self._order]
+        self._keys.imag = self._order
+        self._total_w_sum = float(np.sum(self.w))
 
-    def _rank(self, bucket: int):
-        """The bucket's position in the total rank order: ``(w/π, bucket)``."""
-        return (self._key(bucket), bucket)
+    def _bucket_keys(self) -> np.ndarray:
+        """Every bucket's average ``w/π`` (0 where ``π = 0``)."""
+        keys = np.zeros(self.buckets, dtype=np.float64)
+        np.divide(self.w, self.pi, out=keys, where=self.pi > 0)
+        return keys
 
-    def _max_rank(self, bucket: int):
-        """Rank encoded for a max-boundary heap (min of this = rank-largest)."""
-        return (-self._key(bucket), -bucket)
+    def _build(self) -> None:
+        """The canonical partition, its middle sums accumulated in rank order."""
+        self._sort()
+        middle = self._order[self._low:self._high]
+        self._middle_w_sum = _running_sum(self.w[middle])
+        self._middle_pi_sum = _running_sum(self.pi[middle])
+        self._recorded = None
 
-    def _initialise_partition(self) -> None:
-        keys = np.array([self._key(j) for j in range(self.buckets)])
-        # a stable argsort over the float keys IS the (key, bucket) total
-        # order, so the initial partition is already canonical
-        order = np.argsort(keys, kind="stable")
-        for rank, bucket in enumerate(order):
-            bucket = int(bucket)
-            if rank < self._low:
-                self._location[bucket] = _BOTTOM
-                self._bottom_max.push(bucket, self._max_rank(bucket))
-            elif rank < self._high:
-                self._location[bucket] = _MIDDLE
-                self._middle_min.push(bucket, self._rank(bucket))
-                self._middle_max.push(bucket, self._max_rank(bucket))
-                self._middle_w_sum += self.w[bucket]
-                self._middle_pi_sum += self.pi[bucket]
-            else:
-                self._location[bucket] = _TOP
-                self._top_min.push(bucket, self._rank(bucket))
-
-    def _restore_partition(self, locations: np.ndarray) -> None:
-        """Rebuild the heaps from a recorded bottom/middle/top assignment."""
+    def _restore(self, locations: np.ndarray) -> None:
+        """Adopt a recorded bottom/middle/top assignment."""
         if locations.shape != (self.buckets,):
             raise ValueError(
                 f"initial_locations must have shape ({self.buckets},), got "
@@ -168,23 +172,22 @@ class BiasHeap:
                 f"initial_locations set sizes {counts} do not match the rank "
                 f"boundaries {expected}"
             )
-        for bucket in range(self.buckets):
-            location = int(locations[bucket])
-            self._location[bucket] = location
-            if location == _BOTTOM:
-                self._bottom_max.push(bucket, self._max_rank(bucket))
-            elif location == _MIDDLE:
-                self._middle_min.push(bucket, self._rank(bucket))
-                self._middle_max.push(bucket, self._max_rank(bucket))
-                self._middle_w_sum += self.w[bucket]
-                self._middle_pi_sum += self.pi[bucket]
-            else:
-                self._top_min.push(bucket, self._rank(bucket))
+        self._sort()
+        middle = locations == _MIDDLE
+        self._middle_w_sum = _running_sum(self.w[middle])
+        self._middle_pi_sum = _running_sum(self.pi[middle])
+        if not np.array_equal(locations, self.locations):
+            self._recorded = locations.astype(np.int8)
 
     @property
     def locations(self) -> np.ndarray:
         """Per-bucket rank-set assignment (0 = bottom, 1 = middle, 2 = top)."""
-        return self._location.copy()
+        if self._recorded is not None:
+            return self._recorded.copy()
+        locations = np.full(self.buckets, _MIDDLE, dtype=np.int8)
+        locations[self._order[:self._low]] = _BOTTOM
+        locations[self._order[self._high:]] = _TOP
+        return locations
 
     # ------------------------------------------------------------------ #
     # streaming updates
@@ -195,91 +198,78 @@ class BiasHeap:
             raise IndexError(
                 f"bucket must be in [0, {self.buckets}), got {bucket}"
             )
-        if self.pi[bucket] <= 0:
+        pi = float(self.pi[bucket])
+        if pi <= 0:
             raise ValueError(
                 f"bucket {bucket} has no coordinates hashed to it and cannot "
                 "receive updates"
             )
         delta = float(delta)
-        self.w[bucket] += delta
+        if not math.isfinite(delta):
+            raise ValueError("deltas must contain only finite values")
+        w = float(self.w[bucket]) + delta
+        self.w[bucket] = w
         self._total_w_sum += delta
-        if self._location[bucket] == _MIDDLE:
+        if self._recorded is not None:
+            # the first update after a non-canonical restore re-sorts
+            self._build()
+            return
+
+        low, high = self._low, self._high
+        order, keys, rank = self._order, self._keys, self._rank
+        old = int(rank[bucket])
+        if low <= old < high:
             self._middle_w_sum += delta
 
-        self._reposition(bucket)
-        self._rebalance()
+        # the new rank: the pairs below (key, bucket), less the bucket's own
+        # old slot when its key grew
+        key = w / pi
+        new = int(keys.searchsorted(complex(key, bucket)))
+        if new > old:
+            new -= 1
 
-    def _reposition(self, bucket: int) -> None:
-        """Refresh the heap keys of ``bucket`` within its current set."""
-        location = self._location[bucket]
-        if location == _BOTTOM:
-            self._bottom_max.remove(bucket)
-            self._bottom_max.push(bucket, self._max_rank(bucket))
-        elif location == _MIDDLE:
-            self._middle_min.remove(bucket)
-            self._middle_max.remove(bucket)
-            self._middle_min.push(bucket, self._rank(bucket))
-            self._middle_max.push(bucket, self._max_rank(bucket))
-        else:
-            self._top_min.remove(bucket)
-            self._top_min.push(bucket, self._rank(bucket))
+        # boundary crossings, in the order boundary swaps would apply them
+        if old < low:
+            if new >= low:
+                self._enter(bucket)
+                self._leave(order[low])
+                if new >= high:
+                    self._leave(bucket)
+                    self._enter(order[high])
+        elif old < high:
+            if new < low:
+                self._enter(order[low - 1])
+                self._leave(bucket)
+            elif new >= high:
+                self._leave(bucket)
+                self._enter(order[high])
+        elif new < high:
+            self._leave(order[high - 1])
+            self._enter(bucket)
+            if new < low:
+                self._enter(order[low - 1])
+                self._leave(bucket)
 
-    def _move(self, bucket: int, destination: int) -> None:
-        """Move ``bucket`` from its current set into ``destination``."""
-        source = self._location[bucket]
-        if source == _BOTTOM:
-            self._bottom_max.remove(bucket)
-        elif source == _MIDDLE:
-            self._middle_min.remove(bucket)
-            self._middle_max.remove(bucket)
-            self._middle_w_sum -= self.w[bucket]
-            self._middle_pi_sum -= self.pi[bucket]
-        else:
-            self._top_min.remove(bucket)
+        # shift the ranks between the old and the new slot by one
+        if new > old:
+            order[old:new] = order[old + 1:new + 1]
+            keys[old:new] = keys[old + 1:new + 1]
+        elif new < old:
+            order[new + 1:old + 1] = order[new:old]
+            keys[new + 1:old + 1] = keys[new:old]
+        order[new] = bucket
+        keys[new] = complex(key, bucket)
+        if new != old:
+            first, last = min(old, new), max(old, new) + 1
+            rank[order[first:last]] = np.arange(first, last)
 
-        if destination == _BOTTOM:
-            self._bottom_max.push(bucket, self._max_rank(bucket))
-        elif destination == _MIDDLE:
-            self._middle_min.push(bucket, self._rank(bucket))
-            self._middle_max.push(bucket, self._max_rank(bucket))
-            self._middle_w_sum += self.w[bucket]
-            self._middle_pi_sum += self.pi[bucket]
-        else:
-            self._top_min.push(bucket, self._rank(bucket))
-        self._location[bucket] = destination
+    def _enter(self, bucket) -> None:
+        self._middle_w_sum += self.w[bucket]
+        self._middle_pi_sum += self.pi[bucket]
 
-    def _rebalance(self) -> None:
-        """Swap boundary elements until bottom ≤ middle ≤ top in rank order."""
-        # A single key change displaces at most one element, so two boundary
-        # swaps suffice after an update.  Restoring a partition recorded by an
-        # older version may leave several equal-key buckets on the "wrong"
-        # side of a boundary under the total order, and the first update then
-        # canonicalises them all — hence a guard that scales with the bucket
-        # count.  Each swap removes at least one cross-set rank inversion, so
-        # the loop always terminates; the guard only protects against bugs.
-        for _ in range(2 * self.buckets + 8):
-            swapped = False
-            if len(self._bottom_max) and len(self._middle_min):
-                bottom_enc, bottom_bucket = self._bottom_max.peek()
-                bottom_rank = (-bottom_enc[0], -bottom_enc[1])
-                middle_rank, middle_bucket = self._middle_min.peek()
-                if bottom_rank > middle_rank:
-                    self._move(bottom_bucket, _MIDDLE)
-                    self._move(middle_bucket, _BOTTOM)
-                    swapped = True
-            if len(self._middle_max) and len(self._top_min):
-                middle_enc, middle_bucket = self._middle_max.peek()
-                middle_rank = (-middle_enc[0], -middle_enc[1])
-                top_rank, top_bucket = self._top_min.peek()
-                if middle_rank > top_rank:
-                    self._move(middle_bucket, _TOP)
-                    self._move(top_bucket, _MIDDLE)
-                    swapped = True
-            if not swapped:
-                return
-        raise RuntimeError(
-            "BiasHeap failed to rebalance; this indicates an internal bug"
-        )
+    def _leave(self, bucket) -> None:
+        self._middle_w_sum -= self.w[bucket]
+        self._middle_pi_sum -= self.pi[bucket]
 
     # ------------------------------------------------------------------ #
     # queries
@@ -294,37 +284,37 @@ class BiasHeap:
 
     def middle_buckets(self) -> np.ndarray:
         """Indices of the buckets currently in the middle rank range (sorted)."""
-        return np.array(sorted(self._middle_min.node_ids()), dtype=np.int64)
+        return np.flatnonzero(self.locations == _MIDDLE).astype(np.int64)
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` if any internal invariant is violated.
 
-        Used by the tests and the property-based suite; O(s) so not intended
-        for per-update use in production.
+        Used by the tests and the property-based suite; O(s log s) so not
+        intended for per-update use in production.
         """
-        sizes = (len(self._bottom_max), len(self._middle_min), len(self._top_min))
-        assert sizes[0] == self._low, f"bottom size {sizes[0]} != {self._low}"
-        assert sizes[1] == self._high - self._low, (
-            f"middle size {sizes[1]} != {self._high - self._low}"
-        )
-        assert sizes[2] == self.buckets - self._high, (
-            f"top size {sizes[2]} != {self.buckets - self._high}"
-        )
-        assert len(self._middle_max) == len(self._middle_min)
+        s = self.buckets
+        order, keys = self._order, self._keys
+        assert np.array_equal(np.sort(order), np.arange(s)), "order is not a permutation"
+        assert np.array_equal(self._rank[order], np.arange(s)), "rank does not invert order"
+        expected = self._bucket_keys()
+        assert np.array_equal(keys.real, expected[order]), "sorted keys are stale"
+        assert np.array_equal(keys.imag, order), "sorted keys name the wrong buckets"
+        assert np.all(keys[:-1] < keys[1:]), "ranks break the (w/π, bucket) order"
 
-        # boundary order by float key (restored legacy partitions may break
-        # exact-rank ties non-canonically until the next update, so the check
-        # tolerates ties rather than demanding the full composite order)
-        if len(self._bottom_max) and len(self._middle_min):
-            bottom_key = -self._bottom_max.peek()[0][0]
-            assert bottom_key <= self._middle_min.peek()[0][0] + 1e-9
-        if len(self._middle_max) and len(self._top_min):
-            middle_key = -self._middle_max.peek()[0][0]
-            assert middle_key <= self._top_min.peek()[0][0] + 1e-9
+        locations = self.locations
+        sizes = [int(np.sum(locations == loc)) for loc in (_BOTTOM, _MIDDLE, _TOP)]
+        assert sizes == [self._low, self._high - self._low, s - self._high], (
+            f"set sizes {sizes} do not match the rank boundaries"
+        )
+        # a recorded partition may break key ties non-canonically, never order
+        for below, above in ((_BOTTOM, _MIDDLE), (_MIDDLE, _TOP)):
+            lower, upper = expected[locations == below], expected[locations == above]
+            if lower.size and upper.size:
+                assert lower.max() <= upper.min(), "rank sets overlap"
 
-        middle = self._middle_min.node_ids()
-        expected_w = float(np.sum(self.w[middle])) if middle else 0.0
-        expected_pi = float(np.sum(self.pi[middle])) if middle else 0.0
+        middle = locations == _MIDDLE
+        expected_w = float(np.sum(self.w[middle]))
+        expected_pi = float(np.sum(self.pi[middle]))
         assert abs(expected_w - self._middle_w_sum) < 1e-6, "middle w sum drifted"
         assert abs(expected_pi - self._middle_pi_sum) < 1e-6, "middle pi sum drifted"
 

@@ -9,10 +9,13 @@ median plus β̂ — no post-processing pass, no re-sorting.
 
 :class:`StreamingL2BiasAwareSketch` keeps the exact interface of
 :class:`~repro.core.l2_sketch.L2BiasAwareSketch`; only the bias-estimate
-maintenance differs.  The heap ranks buckets under the total order
-``(w/π, bucket)`` — the same order a stable sort produces — so the estimates
-match the batch variant exactly, including on ties between equal per-bucket
-averages.
+maintenance differs.  The heap keeps the bias row's buckets as a rank array
+under the total order ``(w/π, bucket)`` — the same order a stable sort
+produces — so the estimates match the batch variant exactly, including on
+ties between equal per-bucket averages.  A scalar update moves one bucket's
+rank; every bulk path (``update_batch``, ``fit``, ``merge``, ``scale``, a
+pool fold, a restore) rebuilds the heap with one vectorised sort, O(s log s)
+in numpy.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ class StreamingL2BiasAwareSketch(L2BiasAwareSketch):
     def update_batch(self, indices, deltas=None) -> "StreamingL2BiasAwareSketch":
         """Batched ingestion: vectorised updates, then one heap rebuild.
 
-        The rebuilt Bias-Heap is identical to what per-update maintenance
-        would have produced: both rank buckets under the same total order
+        The rebuild is one stable argsort of the bucket averages.  Its
+        partition is identical to what per-update maintenance would have
+        produced: both rank buckets under the same total order
         ``(w/π, bucket)``, so the rebuild introduces no tie-break drift.
         """
         super().update_batch(indices, deltas)
@@ -83,7 +87,8 @@ class StreamingL2BiasAwareSketch(L2BiasAwareSketch):
 
     def _state_meta(self):
         # the heap's bottom/middle/top membership is recorded so that a
-        # restored sketch breaks rank ties exactly as the serialized one did
+        # restored sketch answers from the same middle set as the serialized
+        # one, including payloads whose older heap broke ties differently
         meta = super()._state_meta()
         meta["heap_locations"] = [int(v) for v in self._bias_heap.locations]
         return meta

@@ -6,7 +6,12 @@ import pytest
 from repro.api import CapabilityError, ConfigError, SketchConfig, SketchSession
 from repro.queries.heavy_hitters import HeavyHitter
 from repro.sketches.base import LinearSketch
-from repro.sketches.registry import register_sketch, unregister_sketch
+from repro.sketches.registry import (
+    available_sketches,
+    get_spec,
+    register_sketch,
+    unregister_sketch,
+)
 from repro.streaming.stream import UpdateStream
 
 DIMENSION = 2_000
@@ -425,6 +430,41 @@ class TestMergeRejectionPaths:
     def test_timestamps_require_a_windowed_session(self):
         with pytest.raises(ConfigError, match="windowed"):
             make_session().ingest(np.arange(10), timestamps=np.arange(10.0))
+
+
+def streaming_kinds():
+    return [name for name in available_sketches() if get_spec(name).streaming]
+
+
+class TestNonFiniteScalarDeltas:
+    """A scalar update is held to the batch contract: finite deltas only."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", streaming_kinds())
+    def test_rejected_with_state_unchanged(self, name, bad, rng):
+        session = make_session(name)
+        session.ingest(rng.integers(0, DIMENSION, size=200))
+        before = session.to_bytes()
+        with pytest.raises(ValueError, match="deltas must contain only finite values"):
+            session.ingest(3, deltas=bad)
+        assert session.to_bytes() == before
+        session.ingest(3, deltas=2.0)
+        assert np.isfinite(session.query(kind="point", index=3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_windowed_session_rejects_too(self, bad, rng):
+        from repro.streaming import WindowSpec
+
+        session = make_session(
+            "l2_sr_streaming",
+            window=WindowSpec(mode="sliding", panes=2, pane_size=100),
+        )
+        session.ingest(rng.integers(0, DIMENSION, size=150))
+        before = session.to_bytes()
+        with pytest.raises(ValueError, match="deltas must contain only finite values"):
+            session.ingest(3, deltas=bad)
+        assert session.to_bytes() == before
+        assert np.isfinite(session.estimate_bias())
 
 
 class TestPersistence:

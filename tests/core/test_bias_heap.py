@@ -102,3 +102,49 @@ class TestBiasHeapUpdates:
         heap.update(3, -100.0)
         heap.check_invariants()
         assert heap.bias() == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_delta_rejected_without_side_effects(self, bad, rng):
+        pi = rng.integers(1, 4, size=16).astype(float)
+        heap = BiasHeap(pi, head_size=4, initial_w=rng.normal(0.0, 5.0, 16) * pi)
+        w, bias, locations = heap.w.copy(), heap.bias(), heap.locations
+        with pytest.raises(ValueError, match="deltas must contain only finite values"):
+            heap.update(3, bad)
+        assert np.array_equal(heap.w, w)
+        assert heap.bias() == bias
+        assert np.array_equal(heap.locations, locations)
+        heap.check_invariants()
+
+
+class TestBiasHeapRestore:
+    #: s = 8, k = 2: ranks 0-1 are the bottom set, 2-5 the middle, 6-7 the top
+    PI = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    #: averages 1, 2, 2, 3, ..., 7: buckets 1 and 2 tie across the boundary
+    W = np.array([1.0, 4.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+
+    def test_legacy_tie_break_answers_until_the_next_update(self):
+        """A payload from before the total order may record a tie on the
+        other side of a rank boundary: the restore answers from the recorded
+        middle set, and the next update re-sorts into the canonical one."""
+        canonical = BiasHeap(self.PI, head_size=2, initial_w=self.W)
+        assert list(canonical.locations) == [0, 0, 1, 1, 1, 1, 2, 2]
+        recorded = np.array([0, 1, 0, 1, 1, 1, 2, 2], dtype=np.int8)
+
+        restored = BiasHeap(self.PI, head_size=2, initial_w=self.W,
+                            initial_locations=recorded)
+        # the recorded middle {1, 3, 4, 5}: (4 + 3 + 4 + 5) / (2 + 1 + 1 + 1)
+        assert restored.bias() == 16.0 / 5.0
+        assert canonical.bias() == 14.0 / 4.0
+        assert np.array_equal(restored.locations, recorded)
+        restored.check_invariants()
+
+        restored.update(7, 1.0)
+        fresh = BiasHeap(self.PI, head_size=2, initial_w=restored.w)
+        assert restored.bias() == fresh.bias() == 14.0 / 4.0
+        assert np.array_equal(restored.locations, fresh.locations)
+        restored.check_invariants()
+
+    def test_restore_rejects_wrong_set_sizes(self):
+        with pytest.raises(ValueError, match="set sizes"):
+            BiasHeap(self.PI, head_size=2, initial_w=self.W,
+                     initial_locations=np.ones(8, dtype=np.int8))

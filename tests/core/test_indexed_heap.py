@@ -1,8 +1,8 @@
-"""Unit tests for the indexed min/max heaps backing the Bias-Heap."""
+"""Unit tests for the indexed min/max heaps backing the reference Bias-Heap."""
 
 import pytest
 
-from repro.core._indexed_heap import IndexedMaxHeap, IndexedMinHeap
+from reference_bias_heap import IndexedMaxHeap, IndexedMinHeap
 
 
 class TestIndexedMinHeap:

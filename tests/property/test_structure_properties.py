@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._indexed_heap import IndexedMinHeap
+from reference_bias_heap import IndexedMinHeap
 from repro.core.bias import MiddleBucketsMeanEstimator
 from repro.core.bias_heap import BiasHeap
 from repro.hashing.families import KWiseHash, MERSENNE_PRIME_61

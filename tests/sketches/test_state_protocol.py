@@ -11,7 +11,7 @@ import pytest
 
 from repro import serialization
 from repro.compressive import GaussianSketch
-from repro.core import L1BiasAwareSketch, StreamingL2BiasAwareSketch
+from repro.core import BiasHeap, L1BiasAwareSketch, StreamingL2BiasAwareSketch
 from repro.serialization import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -211,6 +211,38 @@ class TestStreamingVariantsRestoreExactly:
             restored.bias_heap.locations, sketch.bias_heap.locations
         )
         restored.bias_heap.check_invariants()
+
+    def test_legacy_heap_locations_answer_until_the_next_update(self):
+        """``heap_locations`` that break a tie across a rank boundary the
+        other way (as pre-total-order payloads could) are honoured on
+        restore; the next update re-sorts into the canonical partition."""
+        sketch = StreamingL2BiasAwareSketch(DIMENSION, WIDTH, DEPTH, seed=SEED)
+        pi = sketch.bias_heap.pi
+        low = WIDTH // 2 - sketch.head_size
+        # bucket j averages j, except that bucket `low` ties with `low - 1`
+        averages = np.arange(WIDTH, dtype=float)
+        averages[low] = low - 1
+        assert pi[low] != pi[low - 1]
+        state = sketch.state_dict()
+        state["arrays"]["bias_row"] = (averages * pi)[None, :]
+        recorded = np.array(state["meta"]["heap_locations"])
+        assert (recorded[low - 1], recorded[low]) == (0, 1)  # canonical
+        recorded[low - 1], recorded[low] = 1, 0
+        state["meta"]["heap_locations"] = [int(v) for v in recorded]
+
+        restored = StreamingL2BiasAwareSketch.from_state(state)
+        w_sum = pi_sum = 0.0
+        for bucket in np.flatnonzero(recorded == 1):
+            w_sum += averages[bucket] * pi[bucket]
+            pi_sum += pi[bucket]
+        canonical = BiasHeap(pi, sketch.head_size, averages * pi)
+        assert restored.estimate_bias() == w_sum / pi_sum
+        assert restored.estimate_bias() != canonical.bias()
+
+        restored.update(0, 1.0)
+        fresh = BiasHeap(pi, sketch.head_size, restored.bias_heap.w)
+        assert restored.estimate_bias() == fresh.bias()
+        assert np.array_equal(restored.bias_heap.locations, fresh.locations)
 
     def test_cml_rng_stream_continues_identically(self):
         sketch = small_sketch(CountMinLogCU)
