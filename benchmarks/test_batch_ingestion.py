@@ -28,8 +28,9 @@ import numpy as np
 import pytest
 
 from benchmarks.common import RESULTS_DIR, sketch_memory_footprint
+from repro.api import SketchConfig
 from repro.data.hudong import simulated_hudong
-from repro.sketches.registry import get_spec, make_sketch
+from repro.sketches.registry import get_spec
 from repro.streaming.generators import stream_from_items
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -86,7 +87,8 @@ def test_batch_replay_speedup_and_equivalence(fig6_stream):
     indices, deltas = fig6_stream.indices(), fig6_stream.deltas()
     rows = []
     for algorithm in ALGORITHMS:
-        scalar = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=17)
+        scalar = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                              depth=DEPTH, seed=17).build()
 
         start = time.perf_counter()
         for index, delta in zip(indices.tolist(), deltas.tolist()):
@@ -95,7 +97,8 @@ def test_batch_replay_speedup_and_equivalence(fig6_stream):
 
         batch_seconds = float("inf")
         for _ in range(BATCH_REPEATS):
-            batched = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=17)
+            batched = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                                   depth=DEPTH, seed=17).build()
             start = time.perf_counter()
             for begin in range(0, indices.size, BATCH_SIZE):
                 stop = begin + BATCH_SIZE

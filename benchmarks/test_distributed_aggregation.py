@@ -10,13 +10,15 @@ times the site-sketch + coordinator-merge pipeline.
 import numpy as np
 import pytest
 
-from repro.core import L2BiasAwareSketch
+from repro.api import SketchConfig
 from repro.distributed import Coordinator, Site, partition_vector
 
 DIMENSION = 50_000
 WIDTH = 1_024
 DEPTH = 9
 SITE_COUNTS = (2, 4, 8)
+CONFIG = SketchConfig("l2_sr", dimension=DIMENSION, width=WIDTH, depth=DEPTH,
+                      seed=61)
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +27,10 @@ def global_vector():
     return np.round(rng.normal(300.0, 20.0, size=DIMENSION))
 
 
-def _factory():
-    return L2BiasAwareSketch(DIMENSION, WIDTH, DEPTH, seed=61)
-
-
 def _run_protocol(global_vector, sites):
     locals_ = partition_vector(global_vector, sites, seed=3, by="coordinates")
     site_objects = [
-        Site(f"site-{i}", _factory).observe_vector(local)
+        Site(f"site-{i}", CONFIG).observe_vector(local)
         for i, local in enumerate(locals_)
     ]
     coordinator = Coordinator().collect_all(site_objects)
@@ -40,7 +38,7 @@ def _run_protocol(global_vector, sites):
 
 
 def test_distributed_aggregation(benchmark, global_vector):
-    centralised = _factory().fit(global_vector)
+    centralised = CONFIG.build().fit(global_vector)
     reference = centralised.recover()
     per_site_words = centralised.size_in_words()
 

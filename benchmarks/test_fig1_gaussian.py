@@ -19,8 +19,8 @@ from benchmarks.common import (
     report,
     run_width_sweep,
 )
+from repro.api import SketchConfig
 from repro.data.synthetic import gaussian_dataset
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 40_000
 
@@ -30,7 +30,8 @@ def _gaussian(bias: float):
 
 
 def _sketch_and_recover(vector, width=1_024):
-    sketch = make_sketch("l2_sr", vector.size, width, PAPER_DEPTH, seed=1)
+    sketch = SketchConfig("l2_sr", dimension=vector.size, width=width,
+                          depth=PAPER_DEPTH, seed=1).build()
     sketch.fit(vector)
     return sketch.recover()
 

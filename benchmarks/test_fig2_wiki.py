@@ -13,8 +13,8 @@ per-second counts around ~3 700 views/s) with n = 40 000.
 import pytest
 
 from benchmarks.common import PAPER_DEPTH, error_by_algorithm, report, run_width_sweep
+from repro.api import SketchConfig
 from repro.data.wiki import simulated_wiki
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 40_000
 
@@ -38,7 +38,8 @@ def test_figure2_wiki(benchmark):
     assert maximum["l2_sr"] == min(maximum.values())
 
     def _operation():
-        sketch = make_sketch("l2_sr", DIMENSION, 1_024, PAPER_DEPTH, seed=3)
+        sketch = SketchConfig("l2_sr", dimension=DIMENSION, width=1_024,
+                              depth=PAPER_DEPTH, seed=3).build()
         sketch.fit(dataset.vector)
         return sketch.query(123)
 

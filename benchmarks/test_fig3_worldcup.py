@@ -13,8 +13,8 @@ counts, ~37 req/s) with n = 43 200 (half a day of seconds).
 import pytest
 
 from benchmarks.common import PAPER_DEPTH, error_by_algorithm, report, run_width_sweep
+from repro.api import SketchConfig
 from repro.data.worldcup import simulated_worldcup
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 43_200
 
@@ -36,7 +36,8 @@ def test_figure3_worldcup(benchmark):
     assert average["count_min_cu"] > average["l2_sr"]
 
     def _operation():
-        sketch = make_sketch("l2_sr", DIMENSION, 1_024, PAPER_DEPTH, seed=5)
+        sketch = SketchConfig("l2_sr", dimension=DIMENSION, width=1_024,
+                              depth=PAPER_DEPTH, seed=5).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 

@@ -12,8 +12,8 @@ non-negative feature values) with n = 50 000.
 import pytest
 
 from benchmarks.common import PAPER_DEPTH, error_by_algorithm, report, run_width_sweep
+from repro.api import SketchConfig
 from repro.data.higgs import simulated_higgs
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 50_000
 
@@ -37,7 +37,8 @@ def test_figure4_higgs(benchmark):
     assert max(average.values()) == average["count_median"]
 
     def _operation():
-        sketch = make_sketch("l2_sr", DIMENSION, 1_024, PAPER_DEPTH, seed=7)
+        sketch = SketchConfig("l2_sr", dimension=DIMENSION, width=1_024,
+                              depth=PAPER_DEPTH, seed=7).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 

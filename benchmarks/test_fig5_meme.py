@@ -12,8 +12,8 @@ binomial phrase lengths, mode ≈ 7 words) with n = 50 000.
 import pytest
 
 from benchmarks.common import PAPER_DEPTH, error_by_algorithm, report, run_width_sweep
+from repro.api import SketchConfig
 from repro.data.meme import simulated_meme
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 50_000
 
@@ -33,7 +33,8 @@ def test_figure5_meme(benchmark):
     assert average["count_min_cu"] > 2.0 * average["l2_sr"]
 
     def _operation():
-        sketch = make_sketch("l2_sr", DIMENSION, 1_024, PAPER_DEPTH, seed=9)
+        sketch = SketchConfig("l2_sr", dimension=DIMENSION, width=1_024,
+                              depth=PAPER_DEPTH, seed=9).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 

@@ -16,9 +16,9 @@ streaming variants of every algorithm.
 import pytest
 
 from benchmarks.common import report
+from repro.api import SketchConfig
 from repro.data.hudong import simulated_hudong
 from repro.eval.harness import streaming_comparison
-from repro.sketches.registry import make_sketch
 from repro.streaming.generators import stream_from_items
 
 DIMENSION = 20_000
@@ -63,7 +63,8 @@ def test_figure6_hudong_streaming(benchmark, hudong_stream):
     assert query_times["l2_sr"] < 10.0 * query_times["count_sketch"]
 
     # benchmark the per-update cost of the streaming ℓ2 sketch (Algorithm 6)
-    sketch = make_sketch("l2_sr_streaming", DIMENSION, WIDTH, DEPTH, seed=19)
+    sketch = SketchConfig("l2_sr_streaming", dimension=DIMENSION, width=WIDTH,
+                          depth=DEPTH, seed=19).build()
     updates = [(update.index, update.delta) for update in hudong_stream][:5_000]
 
     def _replay():

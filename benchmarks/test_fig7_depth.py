@@ -12,9 +12,9 @@ d ∈ {1, 3, 5, 7, 9}.
 import pytest
 
 from benchmarks.common import report
+from repro.api import SketchConfig
 from repro.data.higgs import simulated_higgs
 from repro.eval.harness import depth_sweep
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 50_000
 WIDTH = 2_048
@@ -52,7 +52,8 @@ def test_figure7_depth_sweep(benchmark):
 
     # benchmark a single deep-configuration sketch+recover
     def _operation():
-        sketch = make_sketch("l2_sr", DIMENSION, WIDTH, max(DEPTHS), seed=29)
+        sketch = SketchConfig("l2_sr", dimension=DIMENSION, width=WIDTH,
+                              depth=max(DEPTHS), seed=29).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 

@@ -15,8 +15,9 @@ entries fit in the head the bias-aware estimators ignore).
 import pytest
 
 from benchmarks.common import error_by_algorithm, report, run_width_sweep
+from repro.api import SketchConfig
 from repro.data.synthetic import gaussian2_dataset
-from repro.sketches.registry import make_sketch, mean_heuristic_suite
+from repro.sketches.registry import mean_heuristic_suite
 
 DIMENSION = 40_000
 SHIFTED_ENTRIES = 40
@@ -39,7 +40,8 @@ def test_figure8_clean_gaussian2(benchmark):
     assert max(errors.values()) < 3.0 * min(errors.values())
 
     def _operation():
-        sketch = make_sketch("l2_mean", DIMENSION, 1_024, 9, seed=31)
+        sketch = SketchConfig("l2_mean", dimension=DIMENSION, width=1_024,
+                              depth=9, seed=31).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 
@@ -68,7 +70,8 @@ def test_figure8_shifted_gaussian2(benchmark):
     assert errors["l2_mean"] > 3.0 * errors["l2_sr"]
 
     def _operation():
-        sketch = make_sketch("l2_sr", DIMENSION, 1_024, 9, seed=37)
+        sketch = SketchConfig("l2_sr", dimension=DIMENSION, width=1_024,
+                              depth=9, seed=37).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 

@@ -11,8 +11,9 @@ Scaled-down reproduction: the simulated Wiki workload with n = 40 000.
 import pytest
 
 from benchmarks.common import error_by_algorithm, report, run_width_sweep
+from repro.api import SketchConfig
 from repro.data.wiki import simulated_wiki
-from repro.sketches.registry import make_sketch, mean_heuristic_suite
+from repro.sketches.registry import mean_heuristic_suite
 
 DIMENSION = 40_000
 
@@ -36,7 +37,8 @@ def test_figure9_wiki_mean_heuristics(benchmark):
     assert errors["l2_mean"] < errors["l1_sr"]
 
     def _operation():
-        sketch = make_sketch("l1_mean", DIMENSION, 1_024, 9, seed=41)
+        sketch = SketchConfig("l1_mean", dimension=DIMENSION, width=1_024,
+                              depth=9, seed=41).build()
         sketch.fit(dataset.vector)
         return sketch.recover()
 

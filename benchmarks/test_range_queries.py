@@ -12,10 +12,9 @@ both over the ℓ2 bias-aware sketch.
 
 import pytest
 
+from repro.api import SketchConfig, SketchSession
 from repro.data.worldcup import simulated_worldcup
 from repro.queries.dyadic import DyadicRangeSketch
-from repro.queries.range_query import range_sum
-from repro.sketches.registry import make_sketch
 
 DIMENSION = 16_384
 RANGES = [(1_000, 1_300), (2_000, 6_000), (0, 16_000)]
@@ -29,7 +28,9 @@ def workload():
 
 @pytest.fixture(scope="module")
 def structures(workload):
-    flat = make_sketch("l2_sr", DIMENSION, 1_024, 7, seed=5).fit(workload)
+    flat = SketchSession.from_config(SketchConfig(
+        "l2_sr", dimension=DIMENSION, width=1_024, depth=7, seed=5,
+    )).ingest(workload)
     dyadic = DyadicRangeSketch(DIMENSION, 1_024, 7, algorithm="l2_sr",
                                seed=5).fit(workload)
     return flat, dyadic
@@ -41,7 +42,7 @@ def test_range_query_accuracy(structures, workload):
     print("  range                truth      flat estimate   dyadic estimate")
     for low, high in RANGES:
         truth = float(workload[low:high].sum())
-        flat_estimate = range_sum(flat, low, high)
+        flat_estimate = flat.query(kind="range", low=low, high=high)
         dyadic_estimate = dyadic.range_sum(low, high)
         print(f"  [{low:>6}, {high:>6})  {truth:12.0f}  {flat_estimate:15.0f}  "
               f"{dyadic_estimate:16.0f}")
@@ -51,7 +52,7 @@ def test_range_query_accuracy(structures, workload):
     low, high = RANGES[-1]
     truth = float(workload[low:high].sum())
     assert abs(dyadic.range_sum(low, high) - truth) <= abs(
-        range_sum(flat, low, high) - truth
+        flat.query(kind="range", low=low, high=high) - truth
     ) * 1.5
 
 
@@ -64,4 +65,5 @@ def test_flat_range_query_speed(benchmark, structures):
     flat, _ = structures
     # only the two shorter ranges: the full-vector flat scan is exactly what
     # the dyadic structure exists to avoid
-    benchmark(lambda: [range_sum(flat, low, high) for low, high in RANGES[:2]])
+    benchmark(lambda: [flat.query(kind="range", low=low, high=high)
+                       for low, high in RANGES[:2]])

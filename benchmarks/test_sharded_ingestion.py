@@ -30,8 +30,8 @@ import numpy as np
 import pytest
 
 from benchmarks.common import RESULTS_DIR
+from repro.api import SketchConfig
 from repro.data.hudong import simulated_hudong
-from repro.sketches.registry import make_sketch
 from repro.streaming import ShardedIngestPool
 from repro.streaming.generators import stream_from_items
 
@@ -84,7 +84,8 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
     rows = []
     efficiency_at_4 = {}
     for algorithm in ALGORITHMS:
-        single = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=17)
+        single = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                              depth=DEPTH, seed=17).build()
         start = time.perf_counter()
         for begin in range(0, indices.size, BATCH_SIZE):
             stop = begin + BATCH_SIZE
@@ -101,17 +102,15 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
                 # warm-up: touch every page and build the workers' hash
                 # tables off the clock (spawn cost is likewise excluded —
                 # a pool is spawned once and reused across ingests)
-                warmup = make_sketch(
-                    algorithm, DIMENSION, WIDTH, DEPTH, seed=17
-                )
+                warmup = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                                      depth=DEPTH, seed=17).build()
                 pool.ingest(
                     indices[:BATCH_SIZE], deltas[:BATCH_SIZE],
                     target=warmup, shards=shards,
                 )
 
-                target = make_sketch(
-                    algorithm, DIMENSION, WIDTH, DEPTH, seed=17
-                )
+                target = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                                      depth=DEPTH, seed=17).build()
                 start = time.perf_counter()
                 report = pool.ingest(
                     indices, deltas, target=target, shards=shards
@@ -130,7 +129,7 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
                 algorithm, shards, workers, single_seconds, pool_seconds,
                 speedup, report.split_seconds,
                 max(report.worker_seconds, default=0.0),
-                report.fold_seconds, report.bytes_crossed, identical,
+                report.fold_seconds, identical,
             ))
 
             # linearity: the folded shard blocks must reproduce the
@@ -140,7 +139,6 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
                 "single-process ingestion"
             )
             assert target.items_processed == indices.size
-            assert report.bytes_crossed == 0
 
     if CORES >= 2:
         best = {}
@@ -176,15 +174,14 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
         "",
         f"{'algorithm':<14} {'shards':>7} {'workers':>8} {'single_s':>10} "
         f"{'pool_s':>8} {'speedup':>9} {'split_s':>8} {'worker_s':>9} "
-        f"{'fold_s':>7} {'crossed_B':>10} {'identical':>10}",
+        f"{'fold_s':>7} {'identical':>10}",
     ]
     for (algorithm, shards, workers, single_s, pool_s, speedup,
-         split_s, worker_s, fold_s, crossed, identical) in rows:
+         split_s, worker_s, fold_s, identical) in rows:
         lines.append(
             f"{algorithm:<14} {shards:>7d} {workers:>8d} {single_s:>10.3f} "
             f"{pool_s:>8.3f} {speedup:>8.2f}x {split_s:>8.3f} "
-            f"{worker_s:>9.3f} {fold_s:>7.3f} {crossed:>10d} "
-            f"{str(identical):>10}"
+            f"{worker_s:>9.3f} {fold_s:>7.3f} {str(identical):>10}"
         )
     for algorithm, efficiency in efficiency_at_4.items():
         lines.append(

@@ -12,8 +12,8 @@ This benchmark sweeps the universe size, recording for each dimension:
 * **after** — measured construction wall time and tracemalloc peak of the
   on-demand path;
 * **before** — the legacy dense-structure cost: measured by materialising
-  the dense tables through the back-compat ``buckets`` / ``sign_values``
-  accessors where that is feasible (≤ 10^6), and the exact arithmetic size
+  the dense tables with ``bucket_columns`` / ``sign_columns`` over the whole
+  universe where that is feasible (≤ 10^6), and the exact arithmetic size
   of the arrays the old constructor allocated everywhere;
 * batched ingestion and query throughput on the constructed sketch, to show
   the hot path did not regress while construction collapsed.
@@ -65,9 +65,10 @@ def _measure_construction(dimension):
 def _measure_legacy_dense(session):
     """Materialise the structure the old constructor precomputed."""
     table = session.sketch._table
+    keys = np.arange(table.dimension, dtype=np.int64)
     start = time.perf_counter()
-    dense_buckets = table.buckets
-    dense_signs = table.sign_values
+    dense_buckets = table.bucket_columns(keys)
+    dense_signs = table.sign_columns(keys) if table.signed else None
     seconds = time.perf_counter() - start
     nbytes = dense_buckets.nbytes + (0 if dense_signs is None else
                                      dense_signs.nbytes)

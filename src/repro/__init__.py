@@ -30,9 +30,7 @@ True
 vectors, update streams, and multi-core sharded ingestion; ``query`` covers
 the four query kinds (``point`` / ``heavy_hitters`` / ``range`` /
 ``inner_product``) and raises :class:`~repro.api.CapabilityError` for
-operations outside the algorithm's declared capabilities.  The historical
-entry points (``make_sketch``, the per-module query helpers,
-``ingest_stream_sharded``) keep working as deprecated shims.
+operations outside the algorithm's declared capabilities.
 
 Large universes
 ---------------
@@ -134,7 +132,6 @@ from repro.eval import (
     streaming_comparison,
     width_sweep,
 )
-from repro.queries import heavy_hitters, point_query, range_sum
 from repro.sketches import (
     CountMedian,
     CountMin,
@@ -142,7 +139,6 @@ from repro.sketches import (
     CountMinLogCU,
     CountSketch,
     available_sketches,
-    make_sketch,
     paper_reference_suite,
 )
 from repro.serialization import sketch_from_bytes, sketch_from_state
@@ -151,7 +147,6 @@ from repro.streaming import (
     StreamRunner,
     UpdateStream,
     WindowSpec,
-    ingest_stream_sharded,
     stream_from_vector,
 )
 from repro.version import __version__
@@ -184,7 +179,6 @@ __all__ = [
     "CountMinLogCU",
     "CountSketch",
     "available_sketches",
-    "make_sketch",
     "paper_reference_suite",
     # data
     "Dataset",
@@ -200,14 +194,9 @@ __all__ = [
     # windowed streams (the pane-ring engine)
     "SlidingWindowSketch",
     "WindowSpec",
-    # portable state and sharded ingestion (deprecated shims included)
+    # portable state
     "sketch_from_bytes",
     "sketch_from_state",
-    "ingest_stream_sharded",
-    # queries (deprecated shims; prefer SketchSession.query)
-    "heavy_hitters",
-    "point_query",
-    "range_sum",
     # evaluation
     "ResultTable",
     "average_error",

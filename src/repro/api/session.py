@@ -24,8 +24,7 @@ supports behind a uniform, capability-checked surface:
   binary state protocol of :mod:`repro.serialization`.
 
 The CLI, the evaluation harness, the distributed sites and all examples go
-through this facade; the per-class constructors and per-module helpers
-remain available as deprecated shims.
+through this facade.
 """
 
 from __future__ import annotations

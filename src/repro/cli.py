@@ -27,13 +27,6 @@ routed through the unified :mod:`repro.api` session facade:
   cadence, optional ``--store`` restore-on-boot / checkpoint-on-shutdown,
   graceful drain on SIGTERM.
 
-**Legacy invocations keep working.**  The flat verbs that predate the
-noun-verb grammar — ``repro datasets``, bare ``repro sketch``, ``repro
-save``, ``repro load``, ``repro experiment [--list|NAME]`` — are rewritten
-to their noun-verb form before parsing, each emitting exactly one
-:class:`DeprecationWarning` naming the replacement (the same shim pattern
-the :mod:`repro.api` migration used).
-
 User errors (unknown sketch or dataset names, invalid geometry, missing
 files, unknown store entries) exit with status 2 and a one-line
 ``error: ...`` message, never a traceback.  ``repro --version`` prints the
@@ -74,74 +67,11 @@ from repro.server import ServerConfig, serve_until_signalled
 from repro.sketches.registry import available_sketches, get_spec
 from repro.store import SketchStore, format_store_uri
 from repro.streaming.windows import WINDOW_MODES, WindowSpec
-from repro.utils.deprecation import warn_deprecated
 from repro.version import __version__
-
-#: verbs of the ``sketch`` / ``experiment`` nouns, used to tell a new-style
-#: invocation from a legacy flat one in :func:`_normalize_argv`
-_SKETCH_VERBS = frozenset({"fit", "list", "save", "load"})
-_EXPERIMENT_VERBS = frozenset({"list", "run"})
-
-
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """Rewrite a legacy flat invocation to its noun-verb form.
-
-    Each rewrite emits exactly one :class:`DeprecationWarning` naming the
-    replacement; new-style invocations pass through untouched.  The mapping:
-
-    ========================   ==============================
-    legacy                     noun-verb
-    ========================   ==============================
-    ``datasets``               ``dataset list``
-    ``sketch`` (no verb)       ``sketch fit``
-    ``save``                   ``sketch save``
-    ``load``                   ``sketch load``
-    ``experiment --list``      ``experiment list``
-    ``experiment`` (bare)      ``experiment list``
-    ``experiment NAME``        ``experiment run NAME``
-    ========================   ==============================
-    """
-    argv = list(argv)
-    index = next(
-        (i for i, token in enumerate(argv) if not token.startswith("-")), None
-    )
-    if index is None:
-        return argv
-    head, command, rest = argv[:index], argv[index], argv[index + 1:]
-    following = rest[0] if rest else None
-    if command == "datasets":
-        warn_deprecated("repro datasets", "repro dataset list")
-        return head + ["dataset", "list"] + rest
-    if command in ("save", "load"):
-        warn_deprecated(f"repro {command}", f"repro sketch {command}")
-        return head + ["sketch", command] + rest
-    if command == "sketch" and following not in _SKETCH_VERBS:
-        warn_deprecated("repro sketch", "repro sketch fit")
-        return head + ["sketch", "fit"] + rest
-    if command == "experiment" and following not in _EXPERIMENT_VERBS:
-        if "--list" in rest:
-            warn_deprecated("repro experiment --list", "repro experiment list")
-            return (head + ["experiment", "list"]
-                    + [token for token in rest if token != "--list"])
-        if following is None or following.startswith("-"):
-            warn_deprecated("repro experiment", "repro experiment list")
-            return head + ["experiment", "list"] + rest
-        warn_deprecated("repro experiment <name>", "repro experiment run <name>")
-        return head + ["experiment", "run"] + rest
-    return argv
-
-
-class _NounVerbParser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` that rewrites legacy invocations before parsing."""
-
-    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
-        if args is None:
-            args = sys.argv[1:]
-        return super().parse_args(_normalize_argv(list(args)), namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _NounVerbParser(
+    parser = argparse.ArgumentParser(
         prog="repro-sketches",
         description="Bias-aware sketches (Chen & Zhang, VLDB 2017): datasets, "
                     "sketching, a persistent sketch store, and figure "
@@ -170,8 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "fit", help="sketch one workload with one algorithm and report accuracy"
     )
     _add_sketch_arguments(fit)
-    fit.add_argument("--list-algorithms", action="store_true",
-                     help="print the registered algorithms and exit")
     sketch_verbs.add_parser("list", help="list the registered algorithms")
     save = sketch_verbs.add_parser(
         "save", help="sketch a workload and persist the sketch state"
@@ -192,17 +120,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     experiment = nouns.add_parser("experiment", help="the paper's figures")
     experiment_verbs = experiment.add_subparsers(dest="verb", required=True)
-    experiment_list = experiment_verbs.add_parser(
+    experiment_verbs.add_parser(
         "list", help="print the registered experiments"
     )
-    # legacy `repro experiment --list` could carry run options; accept and
-    # ignore them so the rewritten invocation still parses
-    _add_experiment_options(experiment_list)
     run = experiment_verbs.add_parser(
         "run", help="regenerate one of the paper's figures"
     )
     run.add_argument("name", help="experiment id (see 'repro experiment list')")
-    _add_experiment_options(run)
+    run.add_argument("--seed", type=int, default=2017)
+    run.add_argument("--batch-size", type=int, default=None,
+                     help="replay streaming experiments through the "
+                          "vectorised update_batch path in chunks of "
+                          "this many updates (default: scalar "
+                          "update-at-a-time replay)")
+    run.add_argument("--plot", action="store_true",
+                     help="also render the series as an ASCII chart")
+    run.add_argument("--metric", default="average_error",
+                     choices=["average_error", "maximum_error"])
 
     store = nouns.add_parser(
         "store", help="the persistent, versioned sketch catalog (SQLite)"
@@ -340,20 +274,6 @@ def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pane", type=str, default=None,
                         help="pane size in updates for --window "
                              "(scientific notation accepted)")
-
-
-def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
-    """Options of ``experiment run`` (accepted-and-ignored by ``list``)."""
-    parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="replay streaming experiments through the "
-                             "vectorised update_batch path in chunks of "
-                             "this many updates (default: scalar "
-                             "update-at-a-time replay)")
-    parser.add_argument("--plot", action="store_true",
-                        help="also render the series as an ASCII chart")
-    parser.add_argument("--metric", default="average_error",
-                        choices=["average_error", "maximum_error"])
 
 
 #: flags coerced through :func:`_geometry_value` before dispatch
@@ -537,8 +457,6 @@ def _command_sketch_list(args: argparse.Namespace, out) -> int:
 
 
 def _command_sketch_fit(args: argparse.Namespace, out) -> int:
-    if args.list_algorithms:
-        return _command_sketch_list(args, out)
     dataset, session = _build_workload_session(args)
     with session:
         print(f"dataset          : {dataset.name} (n = {dataset.dimension})",

@@ -3,20 +3,17 @@
 Sites build their local sketches from a declarative
 :class:`repro.api.SketchConfig`, which guarantees every site (and the
 coordinator's reconstruction) uses the same algorithm, geometry and seed.
-The historical zero-argument factory-callable form still works but is
-deprecated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.api.config import SketchConfig
 from repro.sketches.base import LinearSketch, Sketch
 from repro.streaming.stream import UpdateStream
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import ensure_1d_float_array, require_positive_int
 
@@ -75,38 +72,26 @@ class Site:
         A :class:`repro.api.SketchConfig` describing the site's local sketch.
         All sites and the coordinator must share the same config (in
         particular its integer seed) so their hash functions agree — in a
-        real deployment the coordinator broadcasts it.  A zero-argument
-        factory callable is still accepted but deprecated.
+        real deployment the coordinator broadcasts it.
     """
 
-    def __init__(
-        self, name: str, config: Union[SketchConfig, Callable[[], Sketch]]
-    ) -> None:
+    def __init__(self, name: str, config: SketchConfig) -> None:
         if not name:
             raise ValueError("site name must be non-empty")
-        self.name = name
-        if isinstance(config, SketchConfig):
-            self._sketch_factory: Callable[[], Sketch] = config.build
-            self.config: Optional[SketchConfig] = config
-        elif callable(config):
-            warn_deprecated(
-                "passing a sketch factory callable to repro.distributed.Site",
-                "Site(name, repro.api.SketchConfig(...))",
-            )
-            self._sketch_factory = config
-            self.config = None
-        else:
+        if not isinstance(config, SketchConfig):
             raise TypeError(
-                "Site expects a repro.api.SketchConfig (or, deprecated, a "
-                f"zero-argument sketch factory), got {type(config).__name__}"
+                "Site expects a repro.api.SketchConfig, got "
+                f"{type(config).__name__}"
             )
+        self.name = name
+        self.config = config
         self._sketch: Optional[Sketch] = None
 
     @property
     def sketch(self) -> Sketch:
         """The site's local sketch (built lazily)."""
         if self._sketch is None:
-            self._sketch = self._sketch_factory()
+            self._sketch = self.config.build()
             if not isinstance(self._sketch, LinearSketch):
                 raise TypeError(
                     f"site {self.name!r} was given a non-linear sketch "

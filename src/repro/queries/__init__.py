@@ -9,22 +9,13 @@ estimates translate directly into better heavy-hitter and range answers on
 biased data.
 """
 
-from repro.queries.point import PointQueryResult, batch_point_query, point_query
-from repro.queries.heavy_hitters import HeavyHitter, heavy_hitters
-from repro.queries.range_query import range_sum
-from repro.queries.inner_product import inner_product_estimate
+from repro.queries.heavy_hitters import HeavyHitter
 from repro.queries.quantiles import approximate_quantile
 from repro.queries.dyadic import DyadicRangeSketch
 from repro.queries.topk import StreamingTopK, TopKEntry
 
 __all__ = [
-    "PointQueryResult",
-    "batch_point_query",
-    "point_query",
     "HeavyHitter",
-    "heavy_hitters",
-    "range_sum",
-    "inner_product_estimate",
     "approximate_quantile",
     "DyadicRangeSketch",
     "StreamingTopK",

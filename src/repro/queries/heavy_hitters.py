@@ -25,7 +25,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.sketches.base import SCAN_BLOCK, Sketch
-from repro.utils.deprecation import deprecated_entry_point
 from repro.utils.validation import ensure_batch_arrays
 
 
@@ -158,29 +157,3 @@ def _heavy_hitters(
     hitters.sort(key=lambda h: h.score, reverse=True)
     return hitters
 
-
-@deprecated_entry_point("repro.api.SketchSession.query(kind='heavy_hitters', ...)")
-def heavy_hitters(
-    sketch: Sketch,
-    threshold: Optional[float] = None,
-    phi: Optional[float] = None,
-    total_mass: Optional[float] = None,
-    relative_to_bias: bool = False,
-    top_k: Optional[int] = None,
-    candidates=None,
-) -> List[HeavyHitter]:
-    """Report coordinates whose estimate exceeds a threshold.
-
-    .. deprecated::
-        Use ``SketchSession.query(kind="heavy_hitters", threshold=... |
-        phi=..., top_k=..., relative_to_bias=..., candidates=...)`` instead.
-    """
-    return _heavy_hitters(
-        sketch,
-        threshold=threshold,
-        phi=phi,
-        total_mass=total_mass,
-        relative_to_bias=relative_to_bias,
-        top_k=top_k,
-        candidates=candidates,
-    )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sketches.base import SCAN_BLOCK, Sketch
-from repro.utils.deprecation import deprecated_entry_point
 from repro.utils.validation import ensure_1d_float_array
 
 
@@ -36,12 +35,3 @@ def _inner_product_estimate(sketch: Sketch, y) -> float:
         total += float(np.dot(sketch.query_batch(block), arr[start:stop]))
     return total
 
-
-@deprecated_entry_point("repro.api.SketchSession.query(kind='inner_product', vector=...)")
-def inner_product_estimate(sketch: Sketch, y) -> float:
-    """Estimate ``⟨x, y⟩`` for an explicit vector ``y``.
-
-    .. deprecated::
-        Use ``SketchSession.query(kind="inner_product", vector=y)`` instead.
-    """
-    return _inner_product_estimate(sketch, y)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sketches.base import SCAN_BLOCK, Sketch
-from repro.utils.deprecation import deprecated_entry_point
 from repro.utils.validation import require_index
 
 #: widest key range an unbounded (dimension=None) sketch will evaluate —
@@ -53,12 +52,3 @@ def _range_sum(sketch: Sketch, low: int, high: int) -> float:
         total += float(np.sum(sketch.query_batch(block)))
     return total
 
-
-@deprecated_entry_point("repro.api.SketchSession.query(kind='range', low=..., high=...)")
-def range_sum(sketch: Sketch, low: int, high: int) -> float:
-    """Estimate ``Σ_{i=low}^{high-1} x_i`` by summing point estimates.
-
-    .. deprecated::
-        Use ``SketchSession.query(kind="range", low=..., high=...)`` instead.
-    """
-    return _range_sum(sketch, low, high)

@@ -16,7 +16,7 @@ Because the candidate set is maintained while streaming, the tracker also
 serves as the key source for candidate-driven heavy-hitter queries on
 unbounded (``dimension=None``) sketches: pass :meth:`StreamingTopK.candidates`
 as the ``candidates`` of
-:func:`~repro.queries.heavy_hitters.heavy_hitters`, which cannot scan an
+``SketchSession.query(kind="heavy_hitters", ...)``, which cannot scan an
 unbounded universe itself.
 """
 
@@ -143,9 +143,8 @@ class StreamingTopK:
         return [entry.index for entry in self.top()]
 
     def candidates(self) -> np.ndarray:
-        """All currently tracked keys (sorted) — the candidate set to hand to
-        :func:`~repro.queries.heavy_hitters.heavy_hitters` on unbounded
-        sketches."""
+        """All currently tracked keys (sorted) — the ``candidates`` of a
+        heavy-hitters query on an unbounded session."""
         return np.array(sorted(self._candidates), dtype=np.int64)
 
     @property

@@ -20,10 +20,10 @@ One :class:`ReproServer` owns exactly one **writer** and any number of
   current replica was restored from — answers are bit-identical to a local
   ``from_bytes`` restore of that payload.
 
-Per-connection traffic is accounted through the
-:class:`~repro.distributed.network.CommunicationLog` (declared words next
-to true serialized bytes — the same reconciliation discipline the
-simulated distributed layer uses), surfaced by the ``stats`` operation.
+Per-connection traffic is accounted in six fixed counters (messages and
+bytes per operation class), folded into one lifetime total when the
+connection closes and surfaced by the ``stats`` operation, so accounting
+memory does not grow with the number of frames or connections served.
 
 Graceful shutdown (:meth:`ReproServer.drain`, wired to ``SIGTERM`` by
 ``repro serve``): stop accepting connections, reject new operations with a
@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
@@ -46,7 +47,6 @@ import numpy as np
 from repro.api.config import SketchConfig
 from repro.api.errors import CapabilityError, ConfigError
 from repro.api.session import SketchSession
-from repro.distributed.network import CommunicationLog
 from repro.serialization import SerializationError
 from repro.server.config import ServerConfig
 from repro.server.errors import (
@@ -65,6 +65,10 @@ from repro.server.protocol import (
 )
 from repro.store import SketchStore, format_store_uri
 from repro.store.uri import parse_store_uri
+
+#: the traffic counters kept per connection and reported by ``stats``
+_COUNTER_FIELDS = ("messages", "ingest_bytes", "ingest_updates",
+                   "query_bytes", "queries", "other_bytes")
 
 
 class _Published(NamedTuple):
@@ -133,9 +137,9 @@ class ReproServer:
         self._pending_updates = 0
         self._dirty_since: Optional[float] = None
         self._conn_serial = 0
-        self._conn_logs: Dict[str, CommunicationLog] = {}
+        self._conn_counters: Dict[str, Counter] = {}
         self._conn_writers: set = set()
-        self._lifetime: Dict[str, Dict[str, int]] = {}
+        self._closed_totals = Counter(dict.fromkeys(_COUNTER_FIELDS, 0))
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -189,6 +193,12 @@ class ReproServer:
             raise ConfigError(
                 f"sketch {self._session.config.name!r} is not linear and "
                 "cannot apply ingest batches with shards > 1"
+            )
+        window = self._session.config.window
+        if window is not None and window.by == "time":
+            raise ConfigError(
+                "serving supports count-based panes only: ingest frames "
+                "carry no timestamps, which time-based panes require"
             )
         self._drain_lock = asyncio.Lock()
         self._queue = asyncio.Queue(maxsize=self._config.queue_depth)
@@ -359,8 +369,8 @@ class ReproServer:
             f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) and len(peer) >= 2
             else f"conn-{self._conn_serial}"
         )
-        log = CommunicationLog()
-        self._conn_logs[conn_id] = log
+        counters = Counter(dict.fromkeys(_COUNTER_FIELDS, 0))
+        self._conn_counters[conn_id] = counters
         self._conn_writers.add(writer)
         try:
             while True:
@@ -382,7 +392,7 @@ class ReproServer:
                 if frame is None:
                     return
                 header, payload = frame
-                response_header, response_payload, words = (
+                response_header, response_payload = (
                     await self._dispatch(header, payload)
                 )
                 sent = await self._respond(
@@ -390,17 +400,13 @@ class ReproServer:
                 )
                 if sent is None:
                     return
-                op = header.get("op")
-                log.record(
-                    sender=conn_id,
-                    payload_words=words,
-                    description=op if isinstance(op, str) else "?",
-                    payload_bytes=len(payload) + sent,
-                )
+                self._account(counters, header.get("op"), response_header,
+                              len(payload) + sent)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
-            self._fold_connection(conn_id, log)
+            self._conn_counters.pop(conn_id, None)
+            self._closed_totals.update(counters)
             self._conn_writers.discard(writer)
             writer.close()
 
@@ -429,58 +435,48 @@ class ReproServer:
 
     async def _dispatch(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
-        """Route one request; returns ``(header, payload, declared_words)``."""
+    ) -> Tuple[Dict[str, Any], bytes]:
+        """Route one request; returns the response ``(header, payload)``."""
         op = header.get("op")
         if op not in REQUEST_OPS:
-            return (
-                error_header(
-                    f"unknown operation {op!r}; known operations: "
-                    f"{sorted(REQUEST_OPS)}",
-                    "protocol",
-                ),
-                b"",
-                0,
-            )
+            return error_header(
+                f"unknown operation {op!r}; known operations: "
+                f"{sorted(REQUEST_OPS)}",
+                "protocol",
+            ), b""
         if self._draining and op not in ("stats", "ping"):
-            return (
-                error_header(
-                    "server is shutting down; no further "
-                    f"{op} operations are accepted",
-                    "shutting-down",
-                ),
-                b"",
-                0,
-            )
+            return error_header(
+                "server is shutting down; no further "
+                f"{op} operations are accepted",
+                "shutting-down",
+            ), b""
         handler = getattr(self, f"_op_{op}")
         try:
             return await handler(header, payload)
         except ProtocolError as exc:
-            return error_header(str(exc), "protocol"), b"", 0
+            return error_header(str(exc), "protocol"), b""
         except CapabilityError as exc:
-            return error_header(str(exc), "capability"), b"", 0
+            return error_header(str(exc), "capability"), b""
         except (ConfigError, SerializationError, ValueError, KeyError) as exc:
             detail = exc.args[0] if exc.args else exc
-            return error_header(str(detail), "config"), b"", 0
+            return error_header(str(detail), "config"), b""
         except Exception as exc:  # noqa: BLE001 - never kill the connection
-            return (
-                error_header(f"{type(exc).__name__}: {exc}", "server"),
-                b"",
-                0,
-            )
+            return error_header(f"{type(exc).__name__}: {exc}", "server"), b""
 
     async def _op_ping(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
-        return {"ok": True, "op": "ping", "epoch": self.epoch}, b"", 0
+    ) -> Tuple[Dict[str, Any], bytes]:
+        return {"ok": True, "op": "ping", "epoch": self.epoch}, b""
 
     async def _op_ingest(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
+    ) -> Tuple[Dict[str, Any], bytes]:
         if "count" not in header:
             raise ProtocolError("ingest frames must carry a 'count' field")
         indices, deltas = unpack_updates(payload, header["count"])
         self._validate_keys(indices)
+        if not np.all(np.isfinite(deltas)):
+            raise ConfigError("deltas must contain only finite values")
         if indices.size:
             await self._queue.put(_Batch(indices, deltas))
             self._accepted_updates += indices.size
@@ -493,7 +489,6 @@ class ReproServer:
                 "queued_batches": self._queue.qsize(),
             },
             b"",
-            2 * int(indices.size),  # one index word + one delta word each
         )
 
     def _validate_keys(self, indices: np.ndarray) -> None:
@@ -514,7 +509,7 @@ class ReproServer:
 
     async def _op_query(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
+    ) -> Tuple[Dict[str, Any], bytes]:
         published = self._published
         kind = header.get("kind", "point")
         params = dict(header.get("params") or {})
@@ -538,7 +533,6 @@ class ReproServer:
                 "result": result,
             },
             b"",
-            0,
         )
 
     @staticmethod
@@ -594,15 +588,8 @@ class ReproServer:
 
     async def _op_snapshot(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
+    ) -> Tuple[Dict[str, Any], bytes]:
         published = self._published
-        from repro.serialization import payload_word_count
-        from repro.streaming.windows import is_window_payload
-
-        words = (
-            0 if is_window_payload(published.payload)
-            else payload_word_count(published.payload)
-        )
         return (
             {
                 "ok": True,
@@ -611,12 +598,11 @@ class ReproServer:
                 "items": published.items,
             },
             published.payload,
-            words,
         )
 
     async def _op_flush(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
+    ) -> Tuple[Dict[str, Any], bytes]:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await self._queue.put(_Flush(future))
         epoch = await future
@@ -629,53 +615,31 @@ class ReproServer:
                 "items": published.items,
             },
             b"",
-            0,
         )
 
     # ------------------------------------------------------------------ #
     # accounting
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _summarize_log(log: CommunicationLog) -> Dict[str, int]:
-        summary = {
-            "messages": log.message_count,
-            "ingest_bytes": 0,
-            "ingest_updates": 0,
-            "query_bytes": 0,
-            "queries": 0,
-            "other_bytes": 0,
-        }
-        for message in log.messages:
-            if message.description == "ingest":
-                summary["ingest_bytes"] += message.payload_bytes
-                summary["ingest_updates"] += message.payload_words // 2
-            elif message.description == "query":
-                summary["query_bytes"] += message.payload_bytes
-                summary["queries"] += 1
-            else:
-                summary["other_bytes"] += message.payload_bytes
-        return summary
-
-    def _fold_connection(self, conn_id: str, log: CommunicationLog) -> None:
-        self._conn_logs.pop(conn_id, None)
-        self._lifetime[conn_id] = self._summarize_log(log)
+    def _account(counters: Counter, op: Any, response: Dict[str, Any],
+                 frame_bytes: int) -> None:
+        """Count one served request/response pair on its connection."""
+        counters["messages"] += 1
+        if op == "ingest":
+            counters["ingest_bytes"] += frame_bytes
+            counters["ingest_updates"] += int(response.get("accepted", 0))
+        elif op == "query":
+            counters["query_bytes"] += frame_bytes
+            counters["queries"] += 1
+        else:
+            counters["other_bytes"] += frame_bytes
 
     async def _op_stats(
         self, header: Dict[str, Any], payload: bytes
-    ) -> Tuple[Dict[str, Any], bytes, int]:
-        live = {
-            conn_id: self._summarize_log(log)
-            for conn_id, log in self._conn_logs.items()
-        }
-        connections = dict(self._lifetime)
-        connections.update(live)
-        totals = {
-            "ingest_bytes": 0, "ingest_updates": 0, "query_bytes": 0,
-            "queries": 0, "other_bytes": 0, "messages": 0,
-        }
-        for summary in connections.values():
-            for key in totals:
-                totals[key] += summary.get(key, 0)
+    ) -> Tuple[Dict[str, Any], bytes]:
+        totals = Counter(self._closed_totals)
+        for counters in self._conn_counters.values():
+            totals.update(counters)
         return (
             {
                 "ok": True,
@@ -691,11 +655,13 @@ class ReproServer:
                 "snapshot_items": (
                     self._published.items if self._published else 0
                 ),
-                "connections": connections,
-                "totals": totals,
+                "connections": {
+                    conn_id: dict(counters)
+                    for conn_id, counters in self._conn_counters.items()
+                },
+                "totals": dict(totals),
             },
             b"",
-            0,
         )
 
 

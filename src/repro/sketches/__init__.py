@@ -25,7 +25,6 @@ from repro.sketches.debiased_count_min import DebiasedCountMin
 from repro.sketches.registry import (
     SketchSpec,
     available_sketches,
-    make_sketch,
     paper_reference_suite,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "DebiasedCountMin",
     "SketchSpec",
     "available_sketches",
-    "make_sketch",
     "paper_reference_suite",
 ]

@@ -257,28 +257,6 @@ class HashedCounterTable:
             return self._sign_cache[:, index]
         return np.array([r(index) for r in self.signs], dtype=np.float64)
 
-    @property
-    def buckets(self) -> np.ndarray:
-        """The dense ``(depth, dimension)`` bucket table, materialised on read.
-
-        Kept for inspection and backwards compatibility only: it costs
-        O(depth × dimension) memory per access and is unavailable in
-        hashed-key mode.  Production code addresses the table through
-        :meth:`bucket_columns` / :meth:`bucket_column`.
-        """
-        if self.dimension is None:
-            raise _unbounded_error("materialising the dense bucket table")
-        return self.bucket_columns(np.arange(self.dimension, dtype=np.int64))
-
-    @property
-    def sign_values(self) -> Optional[np.ndarray]:
-        """Dense ``(depth, dimension)`` sign table (see :attr:`buckets`)."""
-        if not self.signed:
-            return None
-        if self.dimension is None:
-            raise _unbounded_error("materialising the dense sign table")
-        return self.sign_columns(np.arange(self.dimension, dtype=np.int64))
-
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #

@@ -30,7 +30,6 @@ from repro.sketches.count_min import CountMin
 from repro.sketches.count_min_log import CountMinLogCU
 from repro.sketches.count_sketch import CountSketch
 from repro.sketches.debiased_count_min import DebiasedCountMin
-from repro.utils.deprecation import deprecated_entry_point
 from repro.utils.rng import RandomSource
 
 #: factory signature: (dimension, width, depth, seed, **algorithm_kwargs) -> Sketch
@@ -242,24 +241,6 @@ def get_spec(name: str) -> SketchSpec:
         known = ", ".join(available_sketches())
         raise KeyError(f"unknown sketch {name!r}; available: {known}")
     return _REGISTRY[name]
-
-
-@deprecated_entry_point("repro.api.SketchConfig(...).build()")
-def make_sketch(
-    name: str,
-    dimension: int,
-    width: int,
-    depth: int,
-    seed: RandomSource = None,
-) -> Sketch:
-    """Construct the sketch registered under ``name``.
-
-    .. deprecated::
-        Use ``repro.api.SketchConfig(name, dimension=..., width=...,
-        depth=..., seed=...).build()`` (or a full
-        :class:`~repro.api.SketchSession`) instead.
-    """
-    return get_spec(name).build(dimension, width, depth, seed=seed)
 
 
 def paper_reference_suite() -> List[str]:

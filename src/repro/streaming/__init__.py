@@ -60,7 +60,6 @@ from repro.streaming.runner import StreamReport, StreamRunner
 from repro.streaming.sharded import (
     ShardedIngestPool,
     ShardedIngestReport,
-    ingest_stream_sharded,
     shard_arrays,
 )
 from repro.streaming.trace import (
@@ -88,7 +87,6 @@ __all__ = [
     "StreamRunner",
     "ShardedIngestPool",
     "ShardedIngestReport",
-    "ingest_stream_sharded",
     "shard_arrays",
     "read_csv_trace",
     "read_npz_trace",

@@ -46,8 +46,6 @@ import numpy as np
 from repro.sketches._tables import SharedCounterBlock
 from repro.sketches.base import LinearSketch
 from repro.sketches.registry import get_spec
-from repro.streaming.stream import UpdateStream
-from repro.utils.deprecation import deprecated_entry_point
 from repro.utils.validation import ensure_batch_arrays, require_positive_int
 
 #: default update_batch chunk size inside each worker (matches StreamRunner
@@ -57,10 +55,6 @@ DEFAULT_BATCH_SIZE = 8_192
 #: smallest capacity (in updates) of the shared updates segment; grows
 #: geometrically, so a session streaming ever-larger batches re-maps rarely
 MIN_UPDATES_CAPACITY = 1 << 16
-
-#: sentinel distinguishing "dimension not provided" from an explicit
-#: ``dimension=None`` (hashed-key mode over an unbounded universe)
-_DIMENSION_NOT_PROVIDED = object()
 
 #: reserved field names appended to every worker block: the sketch's scalar
 #: state (in sorted name order) and its items-processed counter
@@ -81,16 +75,11 @@ class ShardedIngestReport:
     shards:
         Number of shards requested for the split.
     workers:
-        Worker processes that actually received work (1 means inline).
+        Worker processes that actually received work.
     updates:
         Total updates ingested across all shards.
     shard_updates:
         Updates per non-empty shard slice, in stream order.
-    payload_bytes:
-        Serialized counter bytes that crossed the process boundary per
-        shard.  Always 0 on the shared-memory engine (workers and parent
-        share the counter storage); kept so report consumers written
-        against the fork-per-call engine keep working.
     batch_size:
         ``update_batch`` chunk size used inside the workers.
     elapsed_seconds:
@@ -104,9 +93,6 @@ class ShardedIngestReport:
         is their max, not their sum).
     fold_seconds:
         Time the parent spent folding worker blocks into the target.
-    bytes_crossed:
-        Total counter bytes serialized across the process boundary — ~0 by
-        construction on this engine (only slice descriptors travel).
     """
 
     sketch: LinearSketch
@@ -115,13 +101,11 @@ class ShardedIngestReport:
     workers: int
     updates: int
     shard_updates: List[int]
-    payload_bytes: List[int]
     batch_size: int
     elapsed_seconds: float
     split_seconds: float = 0.0
     worker_seconds: List[float] = field(default_factory=list)
     fold_seconds: float = 0.0
-    bytes_crossed: int = 0
 
 
 def shard_arrays(
@@ -609,7 +593,7 @@ class ShardedIngestPool:
         if not bounds:
             return ShardedIngestReport(
                 sketch=target, sketch_name=self.sketch_name, shards=shards,
-                workers=0, updates=0, shard_updates=[], payload_bytes=[],
+                workers=0, updates=0, shard_updates=[],
                 batch_size=batch_size,
                 elapsed_seconds=time.perf_counter() - started,
             )
@@ -662,13 +646,11 @@ class ShardedIngestPool:
             workers=participating,
             updates=int(indices.size),
             shard_updates=[stop - start for start, stop in bounds],
-            payload_bytes=[0] * len(bounds),
             batch_size=batch_size,
             elapsed_seconds=time.perf_counter() - started,
             split_seconds=split_seconds,
             worker_seconds=worker_seconds,
             fold_seconds=fold_seconds,
-            bytes_crossed=0,
         )
 
     def _collect_acks(self, expected: List[int]) -> List[float]:
@@ -712,155 +694,3 @@ class ShardedIngestPool:
                 received += 1
         return seconds
 
-
-def _ingest_stream_sharded(
-    stream,
-    name: str,
-    width: int,
-    depth: int,
-    seed: int,
-    shards: int,
-    dimension=_DIMENSION_NOT_PROVIDED,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_workers: Optional[int] = None,
-    options: Optional[dict] = None,
-    pool: Optional[ShardedIngestPool] = None,
-    target: Optional[LinearSketch] = None,
-) -> ShardedIngestReport:
-    """Ingest a stream into a linear sketch using the sharded engine.
-
-    Parameters
-    ----------
-    stream:
-        An :class:`~repro.streaming.stream.UpdateStream`, or a tuple of
-        parallel ``(indices, deltas)`` arrays (``deltas`` may be ``None``
-        for unit increments, in which case ``dimension`` is required).
-    name, width, depth, seed:
-        Sketch algorithm (must be linear) and geometry; ``seed`` must be an
-        explicit integer so every worker derives the same hash functions.
-    shards:
-        Number of sub-streams.  ``shards=1`` runs inline (no worker
-        processes, no shared memory) through the identical ``update_batch``
-        path.
-    dimension:
-        Vector dimension; inferred from an :class:`UpdateStream` input.
-        An explicit ``dimension=None`` selects hashed-key mode (unbounded
-        universe), in which case raw ``(indices, deltas)`` arrays may carry
-        any non-negative 64-bit keys.
-    batch_size:
-        ``update_batch`` chunk size inside each worker.
-    max_workers:
-        Cap on worker processes (default: ``min(shards, cpu_count)``);
-        ignored when ``pool`` is supplied.
-    options:
-        Algorithm-specific constructor kwargs, forwarded to every worker.
-    pool:
-        A warm :class:`ShardedIngestPool` to run on.  When omitted an
-        ephemeral pool is created and torn down around the call (session
-        code keeps a pool alive instead — that is where the engine pays).
-    target:
-        Fold into this existing sketch instead of building a fresh one.
-
-    Returns
-    -------
-    ShardedIngestReport
-        With the folded sketch in ``.sketch``.
-    """
-    spec = get_spec(name)
-    if not spec.linear:
-        raise ValueError(
-            f"sketch {name!r} is not linear; sharded ingestion requires a "
-            "mergeable sketch (the conservative-update variants are "
-            "order-dependent and cannot be sharded)"
-        )
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(
-            "sharded ingestion requires an explicit integer seed so all "
-            "workers build compatible sketches"
-        )
-    shards = require_positive_int(shards, "shards")
-    batch_size = require_positive_int(batch_size, "batch_size")
-
-    if isinstance(stream, UpdateStream):
-        dimension = stream.dimension
-        indices, deltas = stream.indices(), stream.deltas()
-    else:
-        if dimension is _DIMENSION_NOT_PROVIDED:
-            raise ValueError(
-                "dimension is required when ingesting raw (indices, deltas) "
-                "arrays; for hashed-key mode use "
-                "SketchSession.ingest (the deprecated ingest_stream_sharded "
-                "entry point predates unbounded universes)"
-            )
-        indices, deltas = ensure_batch_arrays(stream[0], stream[1], dimension)
-
-    started = time.perf_counter()
-    if target is None:
-        target = spec.build(
-            dimension, width, depth, seed=int(seed), **(options or {})
-        )
-
-    if shards == 1:
-        for start in range(0, indices.size, batch_size):
-            stop = start + batch_size
-            target.update_batch(indices[start:stop], deltas[start:stop])
-        elapsed = time.perf_counter() - started
-        return ShardedIngestReport(
-            sketch=target, sketch_name=name, shards=1, workers=1,
-            updates=int(indices.size),
-            shard_updates=[int(indices.size)] if indices.size else [],
-            payload_bytes=[0] if indices.size else [],
-            batch_size=batch_size, elapsed_seconds=elapsed,
-            worker_seconds=[elapsed],
-        )
-
-    own_pool = pool is None
-    if own_pool:
-        workers = min(shards, max_workers or (os.cpu_count() or 1))
-        pool = ShardedIngestPool(
-            name, dimension, width, depth, int(seed),
-            workers=max(1, workers), batch_size=batch_size, options=options,
-        )
-    try:
-        return pool.ingest(
-            indices, deltas, target=target, shards=shards,
-            batch_size=batch_size,
-        )
-    finally:
-        if own_pool:
-            pool.close()
-
-
-@deprecated_entry_point("repro.api.SketchSession.ingest(stream, shards=N)")
-def ingest_stream_sharded(
-    stream,
-    name: str,
-    width: int,
-    depth: int,
-    seed: int,
-    shards: int,
-    dimension: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_workers: Optional[int] = None,
-) -> ShardedIngestReport:
-    """Ingest a stream into a linear sketch using sharded worker processes.
-
-    .. deprecated::
-        Use ``SketchSession.ingest(stream, shards=N)`` — the session facade
-        keeps a warm :class:`ShardedIngestPool` across calls and folds each
-        run straight into its sketch (``session.last_shard_report`` carries
-        the run's report).
-    """
-    return _ingest_stream_sharded(
-        stream,
-        name,
-        width,
-        depth,
-        seed=seed,
-        shards=shards,
-        # the deprecated entry point keeps its original contract: None means
-        # "not provided" (required for raw arrays), not hashed-key mode
-        dimension=_DIMENSION_NOT_PROVIDED if dimension is None else dimension,
-        batch_size=batch_size,
-        max_workers=max_workers,
-    )

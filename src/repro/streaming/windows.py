@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -55,8 +56,8 @@ from repro.serialization import (
 )
 from repro.streaming.sharded import (
     DEFAULT_BATCH_SIZE,
+    ShardedIngestPool,
     ShardedIngestReport,
-    _ingest_stream_sharded,
 )
 from repro.utils.validation import require_positive_int
 
@@ -654,19 +655,29 @@ class SlidingWindowSketch:
         if shards is not None and shards > 1:
             # the shard state folds straight into the open pane through
             # shared memory — no serialization at pane close
-            report = _ingest_stream_sharded(
-                (indices, deltas),
-                self._config.name,
-                self._config.width,
-                self._config.depth,
-                seed=self._config.seed,
-                shards=shards,
-                dimension=self._config.dimension,
-                batch_size=batch_size or DEFAULT_BATCH_SIZE,
-                options=self._config.options,
-                pool=pool_factory(shards) if pool_factory is not None else None,
-                target=self._current,
-            )
+            if pool_factory is not None:
+                pool = pool_factory(shards)
+            else:
+                pool = ShardedIngestPool(
+                    self._config.name,
+                    self._config.dimension,
+                    self._config.width,
+                    self._config.depth,
+                    self._config.seed,
+                    workers=min(shards, os.cpu_count() or 1),
+                    options=self._config.options,
+                )
+            try:
+                report = pool.ingest(
+                    indices,
+                    deltas,
+                    target=self._current,
+                    shards=shards,
+                    batch_size=batch_size or DEFAULT_BATCH_SIZE,
+                )
+            finally:
+                if pool_factory is None:
+                    pool.close()
         elif batch_size is not None:
             for start in range(0, indices.size, batch_size):
                 stop = start + batch_size

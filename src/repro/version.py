@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib.metadata import PackageNotFoundError, version as _distribution_version
 
 #: kept in sync with ``[project] version`` in pyproject.toml for checkouts
-_FALLBACK_VERSION = "1.2.0"
+_FALLBACK_VERSION = "2.0.0"
 
 try:
     __version__ = _distribution_version("repro")

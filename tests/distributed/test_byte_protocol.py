@@ -9,10 +9,10 @@ encoded state.
 import numpy as np
 import pytest
 
-from repro.core import L1BiasAwareSketch
+from repro.api import SketchConfig
 from repro.distributed import CommunicationLog, Coordinator, Site, partition_vector
 from repro.serialization import register_serializable
-from repro.sketches import CountMin, CountSketch
+from repro.sketches import CountMin
 
 DIMENSION = 2_000
 WIDTH = 128
@@ -20,10 +20,10 @@ DEPTH = 5
 SEED = 31
 
 
-def make_sites(global_vector, count, sketch_factory):
+def make_sites(global_vector, count, config):
     locals_ = partition_vector(global_vector, count, seed=8, by="coordinates")
     return [
-        Site(f"site-{i}", sketch_factory).observe_vector(local)
+        Site(f"site-{i}", config).observe_vector(local)
         for i, local in enumerate(locals_)
     ]
 
@@ -35,7 +35,8 @@ def global_vector(rng):
 
 class TestBytesOnTheWire:
     def test_ship_state_returns_wire_payload(self, global_vector):
-        site = Site("a", lambda: CountSketch(DIMENSION, WIDTH, DEPTH, seed=SEED))
+        site = Site("a", SketchConfig("count_sketch", dimension=DIMENSION,
+                                      width=WIDTH, depth=DEPTH, seed=SEED))
         site.observe_vector(global_vector)
         payload = site.ship_state()
         assert isinstance(payload, bytes)
@@ -44,7 +45,8 @@ class TestBytesOnTheWire:
     def test_coordinator_state_is_independent_of_sites(self, global_vector):
         sites = make_sites(
             global_vector, 2,
-            lambda: CountSketch(DIMENSION, WIDTH, DEPTH, seed=SEED),
+            SketchConfig("count_sketch", dimension=DIMENSION, width=WIDTH,
+                         depth=DEPTH, seed=SEED),
         )
         coordinator = Coordinator().collect_all(sites)
         before = coordinator.recover().copy()
@@ -62,10 +64,11 @@ class TestBytesOnTheWire:
         assert coordinator.sites_collected == ["remote"]
 
     def test_merged_protocol_equals_centralised(self, global_vector):
-        factory = lambda: L1BiasAwareSketch(DIMENSION, WIDTH, DEPTH, seed=SEED)  # noqa: E731
-        sites = make_sites(global_vector, 4, factory)
+        config = SketchConfig("l1_sr", dimension=DIMENSION, width=WIDTH,
+                              depth=DEPTH, seed=SEED)
+        sites = make_sites(global_vector, 4, config)
         coordinator = Coordinator().collect_all(sites)
-        centralised = factory().fit(global_vector)
+        centralised = config.build().fit(global_vector)
         np.testing.assert_allclose(
             coordinator.recover(), centralised.recover()
         )
@@ -79,7 +82,8 @@ class TestBytesOnTheWire:
             Coordinator().receive("bad", sketch.to_bytes())
 
     def test_unseeded_site_cannot_ship(self, global_vector):
-        site = Site("u", lambda: CountSketch(DIMENSION, WIDTH, DEPTH, seed=None))
+        site = Site("u", SketchConfig("count_sketch", dimension=DIMENSION,
+                                      width=WIDTH, depth=DEPTH, seed=None))
         site.observe_vector(global_vector)
         with pytest.raises(ValueError, match="seed"):
             site.ship_state()
@@ -89,7 +93,8 @@ class TestDualAccounting:
     def test_words_and_bytes_recorded_per_message(self, global_vector):
         sites = make_sites(
             global_vector, 3,
-            lambda: CountSketch(DIMENSION, WIDTH, DEPTH, seed=SEED),
+            SketchConfig("count_sketch", dimension=DIMENSION, width=WIDTH,
+                         depth=DEPTH, seed=SEED),
         )
         coordinator = Coordinator().collect_all(sites)
         per_site_words = WIDTH * DEPTH
@@ -105,7 +110,8 @@ class TestDualAccounting:
     def test_bytes_by_sender(self, global_vector):
         sites = make_sites(
             global_vector, 2,
-            lambda: CountMin(DIMENSION, WIDTH, DEPTH, seed=SEED),
+            SketchConfig("count_min", dimension=DIMENSION, width=WIDTH,
+                         depth=DEPTH, seed=SEED),
         )
         coordinator = Coordinator().collect_all(sites)
         totals = coordinator.log.bytes_by_sender()
@@ -115,7 +121,8 @@ class TestDualAccounting:
     def test_honest_sketches_are_not_flagged(self, global_vector):
         sites = make_sites(
             global_vector, 3,
-            lambda: L1BiasAwareSketch(DIMENSION, WIDTH, DEPTH, seed=SEED),
+            SketchConfig("l1_sr", dimension=DIMENSION, width=WIDTH,
+                         depth=DEPTH, seed=SEED),
         )
         coordinator = Coordinator().collect_all(sites)
         assert coordinator.log.inconsistent_messages() == []

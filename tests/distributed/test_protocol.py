@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import L1BiasAwareSketch, L2BiasAwareSketch
+from repro.api import SketchConfig
+from repro.core import L2BiasAwareSketch
 from repro.distributed import Coordinator, Site, partition_vector
-from repro.sketches import CountMinCU, CountSketch
 from repro.streaming.generators import stream_from_vector
 
 
@@ -36,14 +36,15 @@ class TestPartitionVector:
 
 
 class TestDistributedProtocol:
-    def _factory(self, dimension, sketch_class=L2BiasAwareSketch):
-        return lambda: sketch_class(dimension, 256, 5, seed=77)
+    def _config(self, dimension, name="l2_sr"):
+        return SketchConfig(name, dimension=dimension, width=256, depth=5,
+                            seed=77)
 
     def test_merged_sketch_equals_centralised_sketch(self, global_vector):
         n = global_vector.size
         locals_ = partition_vector(global_vector, 4, seed=3, by="coordinates")
         sites = [
-            Site(f"site-{i}", self._factory(n)).observe_vector(local)
+            Site(f"site-{i}", self._config(n)).observe_vector(local)
             for i, local in enumerate(locals_)
         ]
         coordinator = Coordinator().collect_all(sites)
@@ -53,8 +54,8 @@ class TestDistributedProtocol:
     def test_streaming_sites_match_vector_sites(self, global_vector):
         n = global_vector.size
         locals_ = partition_vector(global_vector, 2, seed=4, by="coordinates")
-        vector_site = Site("v", self._factory(n)).observe_vector(locals_[0])
-        stream_site = Site("s", self._factory(n)).observe_stream(
+        vector_site = Site("v", self._config(n)).observe_vector(locals_[0])
+        stream_site = Site("s", self._config(n)).observe_stream(
             stream_from_vector(locals_[0])
         )
         np.testing.assert_allclose(
@@ -65,8 +66,8 @@ class TestDistributedProtocol:
         n = global_vector.size
         locals_ = partition_vector(global_vector, 2, seed=4, by="coordinates")
         stream = stream_from_vector(locals_[0])
-        scalar_site = Site("s", self._factory(n)).observe_stream(stream)
-        batched_site = Site("b", self._factory(n)).observe_stream(
+        scalar_site = Site("s", self._config(n)).observe_stream(stream)
+        batched_site = Site("b", self._config(n)).observe_stream(
             stream, batch_size=512
         )
         np.testing.assert_allclose(
@@ -77,10 +78,10 @@ class TestDistributedProtocol:
         n = global_vector.size
         indices = np.array([5, 17, 5, 99], dtype=np.int64)
         deltas = np.array([2.0, 1.0, 3.0, 4.0])
-        scalar_site = Site("s", self._factory(n))
+        scalar_site = Site("s", self._config(n))
         for index, delta in zip(indices, deltas):
             scalar_site.observe_update(int(index), float(delta))
-        batched_site = Site("b", self._factory(n)).observe_batch(indices, deltas)
+        batched_site = Site("b", self._config(n)).observe_batch(indices, deltas)
         np.testing.assert_array_equal(
             scalar_site.sketch.table, batched_site.sketch.table
         )
@@ -89,7 +90,7 @@ class TestDistributedProtocol:
         n = global_vector.size
         locals_ = partition_vector(global_vector, 6, seed=5, by="coordinates")
         sites = [
-            Site(f"site-{i}", self._factory(n)).observe_vector(local)
+            Site(f"site-{i}", self._config(n)).observe_vector(local)
             for i, local in enumerate(locals_)
         ]
         coordinator = Coordinator().collect_all(sites)
@@ -102,7 +103,7 @@ class TestDistributedProtocol:
         n = global_vector.size
         locals_ = partition_vector(global_vector, 3, seed=6, by="coordinates")
         sites = [
-            Site(f"site-{i}", self._factory(n, L1BiasAwareSketch)).observe_vector(local)
+            Site(f"site-{i}", self._config(n, "l1_sr")).observe_vector(local)
             for i, local in enumerate(locals_)
         ]
         coordinator = Coordinator().collect_all(sites)
@@ -113,7 +114,8 @@ class TestDistributedProtocol:
 
     def test_non_linear_sketch_rejected_at_site(self, global_vector):
         n = global_vector.size
-        site = Site("bad", lambda: CountMinCU(n, 64, 5, seed=1))
+        site = Site("bad", SketchConfig("count_min_cu", dimension=n, width=64,
+                                        depth=5, seed=1))
         with pytest.raises(TypeError, match="non-linear"):
             site.observe_vector(global_vector)
 
@@ -125,7 +127,7 @@ class TestDistributedProtocol:
         n = global_vector.size
         locals_ = partition_vector(global_vector, 2, seed=8, by="coordinates")
         sites = [
-            Site(f"site-{i}", self._factory(n)).observe_vector(local)
+            Site(f"site-{i}", self._config(n)).observe_vector(local)
             for i, local in enumerate(locals_)
         ]
         coordinator = Coordinator().collect_all(sites)
@@ -133,12 +135,15 @@ class TestDistributedProtocol:
 
     def test_mixing_incompatible_sketch_seeds_fails(self, global_vector):
         n = global_vector.size
-        a = Site("a", lambda: CountSketch(n, 64, 5, seed=1)).observe_vector(global_vector)
-        b = Site("b", lambda: CountSketch(n, 64, 5, seed=2)).observe_vector(global_vector)
+        a = Site("a", SketchConfig("count_sketch", dimension=n, width=64,
+                                   depth=5, seed=1)).observe_vector(global_vector)
+        b = Site("b", SketchConfig("count_sketch", dimension=n, width=64,
+                                   depth=5, seed=2)).observe_vector(global_vector)
         coordinator = Coordinator().collect(a)
         with pytest.raises(ValueError):
             coordinator.collect(b)
 
     def test_empty_site_name_rejected(self):
         with pytest.raises(ValueError):
-            Site("", lambda: None)
+            Site("", SketchConfig("count_sketch", dimension=10, width=4,
+                                  depth=2, seed=1))

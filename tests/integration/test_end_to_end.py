@@ -9,12 +9,11 @@ distributed merge).
 import numpy as np
 import pytest
 
+from repro.api import SketchConfig, SketchSession
 from repro.core import StreamingL2BiasAwareSketch
 from repro.data.hudong import simulated_hudong
 from repro.data.registry import load_dataset
 from repro.distributed import Coordinator, Site, partition_vector
-from repro.queries.heavy_hitters import heavy_hitters
-from repro.sketches.registry import make_sketch
 from repro.streaming.generators import stream_from_items, stream_from_vector
 from repro.streaming.runner import StreamRunner
 
@@ -27,16 +26,17 @@ class TestThreeIngestionModesAgree:
         dimension = 1_200
         vector = rng.poisson(35.0, size=dimension).astype(float)
 
-        batch = make_sketch(algorithm, dimension, 64, 5, seed=101).fit(vector)
+        config = SketchConfig(algorithm, dimension=dimension, width=64,
+                              depth=5, seed=101)
+        batch = config.build().fit(vector)
 
-        streamed = make_sketch(algorithm, dimension, 64, 5, seed=101)
+        streamed = config.build()
         for update in stream_from_vector(vector, shuffle=True, seed=3):
             streamed.update(update.index, update.delta)
 
         locals_ = partition_vector(vector, 3, seed=5, by="items")
         sites = [
-            Site(f"site-{i}", lambda: make_sketch(algorithm, dimension, 64, 5,
-                                                  seed=101)).observe_vector(local)
+            Site(f"site-{i}", config).observe_vector(local)
             for i, local in enumerate(locals_)
         ]
         merged = Coordinator().collect_all(sites).global_sketch
@@ -80,11 +80,13 @@ class TestHeavyHitterScenario:
     def test_finds_flash_crowd_seconds(self):
         dataset = load_dataset("worldcup", seed=31, dimension=10_000,
                                flash_crowds=3, flash_multiplier=30.0)
-        sketch = make_sketch("l2_sr", dataset.dimension, 512, 7, seed=33)
-        sketch.fit(dataset.vector)
+        session = SketchSession.from_config(SketchConfig(
+            "l2_sr", dimension=dataset.dimension, width=512, depth=7, seed=33,
+        )).ingest(dataset.vector)
 
         threshold = 5.0 * float(np.median(dataset.vector))
-        reported = {h.index for h in heavy_hitters(sketch, threshold=threshold)}
+        hitters = session.query(kind="heavy_hitters", threshold=threshold)
+        reported = {h.index for h in hitters}
         truly_hot = set(np.flatnonzero(dataset.vector > 1.5 * threshold))
         # every strongly hot second is reported (no false negatives among the
         # clear cases); the sketch may add a few borderline false positives

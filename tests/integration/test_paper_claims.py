@@ -13,7 +13,6 @@ from repro.eval.harness import evaluate_algorithms
 from repro.sketches.registry import mean_heuristic_suite
 
 
-@pytest.mark.slow
 class TestGaussianClaims:
     """Figure 1: on biased Gaussian data the bias-aware sketches win by a lot."""
 
@@ -56,7 +55,6 @@ class TestGaussianClaims:
         assert baseline_high > 2.0 * baseline_low
 
 
-@pytest.mark.slow
 class TestMeanHeuristicClaims:
     """Figure 8: mean heuristics match ℓ-S/R on clean data, break when shifted."""
 
@@ -82,7 +80,6 @@ class TestMeanHeuristicClaims:
         assert errors["l2_mean"] > 3.0 * errors["l2_sr"]
 
 
-@pytest.mark.slow
 class TestRealDatasetSubstituteClaims:
     """Figures 2-5 (shape only): ℓ2-S/R is the best or tied-best algorithm."""
 

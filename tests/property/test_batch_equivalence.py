@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.registry import available_sketches, make_sketch
+from repro.api import SketchConfig
+from repro.sketches.registry import available_sketches
 
 DIMENSION = 96
 WIDTH = 16
@@ -44,8 +45,10 @@ seeds = st.integers(0, 2**31 - 1)
 
 
 def _build_pair(algorithm, seed):
-    scalar = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=seed)
-    batched = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=seed)
+    scalar = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                          depth=DEPTH, seed=seed).build()
+    batched = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                           depth=DEPTH, seed=seed).build()
     return scalar, batched
 
 
@@ -119,13 +122,15 @@ def test_unit_deltas_default(algorithm):
 
 @pytest.mark.parametrize("algorithm", sorted(CASH_REGISTER_ONLY))
 def test_conservative_batch_rejects_negative_deltas(algorithm):
-    sketch = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=1)
+    sketch = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                          depth=DEPTH, seed=1).build()
     with pytest.raises(ValueError):
         sketch.update_batch(np.array([1, 2]), np.array([1.0, -1.0]))
 
 
 def test_batch_validation_rejects_bad_shapes():
-    sketch = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=1)
+    sketch = SketchConfig("count_min", dimension=DIMENSION, width=WIDTH,
+                          depth=DEPTH, seed=1).build()
     with pytest.raises(IndexError):
         sketch.update_batch(np.array([0, DIMENSION]))
     with pytest.raises(IndexError):
@@ -140,7 +145,8 @@ def test_batch_validation_rejects_bad_shapes():
 
 def test_empty_batch_is_a_noop():
     for algorithm in ALL_ALGORITHMS:
-        sketch = make_sketch(algorithm, DIMENSION, WIDTH, DEPTH, seed=3)
+        sketch = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
+                              depth=DEPTH, seed=3).build()
         sketch.update_batch(np.array([], dtype=np.int64))
         assert sketch.items_processed == 0
 

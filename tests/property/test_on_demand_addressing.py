@@ -60,9 +60,8 @@ def test_on_demand_assignments_match_precomputed(name, seed):
         np.testing.assert_array_equal(
             table.bucket_columns(all_keys), expected
         )
-        # the scalar path and the dense back-compat property agree too
+        # the scalar path agrees too
         np.testing.assert_array_equal(table.bucket_column(7), expected[:, 7])
-        np.testing.assert_array_equal(table.buckets, expected)
         if table.signed:
             expected_signs = _precomputed_signs(table)
             np.testing.assert_array_equal(

@@ -20,7 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.registry import available_sketches, get_spec, make_sketch
+from repro.api import SketchConfig
+from repro.sketches.registry import available_sketches, get_spec
 
 DIMENSION = 64
 WIDTH = 16
@@ -43,7 +44,8 @@ update_streams = st.lists(
 
 
 def build(name, seed):
-    return make_sketch(name, DIMENSION, WIDTH, DEPTH, seed=seed)
+    return SketchConfig(name, dimension=DIMENSION, width=WIDTH,
+                        depth=DEPTH, seed=seed).build()
 
 
 def replay(sketch, updates):

@@ -3,81 +3,81 @@
 import numpy as np
 import pytest
 
-from repro.core import L2BiasAwareSketch
-from repro.queries.inner_product import inner_product_estimate
+from repro.api import SketchConfig, SketchSession
 from repro.queries.quantiles import approximate_quantile
-from repro.queries.range_query import range_sum
 from repro.sketches import CountMin
 
 
 @pytest.fixture
 def fitted(rng):
     vector = rng.normal(200.0, 10.0, size=2_000)
-    sketch = L2BiasAwareSketch(2_000, 128, 5, seed=1).fit(vector)
-    return sketch, vector
+    config = SketchConfig("l2_sr", dimension=2_000, width=128, depth=5, seed=1)
+    return SketchSession.from_config(config).ingest(vector), vector
 
 
 class TestRangeSum:
     def test_matches_true_range_sum(self, fitted):
-        sketch, vector = fitted
+        session, vector = fitted
         low, high = 100, 160
-        estimate = range_sum(sketch, low, high)
+        estimate = session.query(kind="range", low=low, high=high)
         assert estimate == pytest.approx(vector[low:high].sum(), rel=0.05)
 
     def test_full_range_allowed(self, fitted):
-        sketch, vector = fitted
-        estimate = range_sum(sketch, 0, sketch.dimension)
+        session, vector = fitted
+        estimate = session.query(kind="range", low=0, high=session.dimension)
         assert estimate == pytest.approx(vector.sum(), rel=0.05)
 
     def test_empty_range_is_zero(self, fitted):
-        sketch, _ = fitted
-        assert range_sum(sketch, 10, 10) == 0.0
+        session, _ = fitted
+        assert session.query(kind="range", low=10, high=10) == 0.0
 
     def test_invalid_bounds(self, fitted):
-        sketch, _ = fitted
+        session, _ = fitted
         with pytest.raises(ValueError):
-            range_sum(sketch, 50, 10)
+            session.query(kind="range", low=50, high=10)
         with pytest.raises(IndexError):
-            range_sum(sketch, -1, 10)
+            session.query(kind="range", low=-1, high=10)
 
 
 class TestInnerProduct:
     def test_matches_true_inner_product(self, fitted, rng):
-        sketch, vector = fitted
+        session, vector = fitted
         y = rng.normal(size=2_000)
-        estimate = inner_product_estimate(sketch, y)
+        estimate = session.query(kind="inner_product", vector=y)
         truth = float(np.dot(vector, y))
         assert estimate == pytest.approx(truth, rel=0.2, abs=2_000.0)
 
     def test_dimension_mismatch_rejected(self, fitted):
-        sketch, _ = fitted
+        session, _ = fitted
         with pytest.raises(ValueError):
-            inner_product_estimate(sketch, np.ones(1_999))
+            session.query(kind="inner_product", vector=np.ones(1_999))
 
     def test_indicator_vector_reduces_to_range_sum(self, fitted):
-        sketch, _ = fitted
+        session, _ = fitted
         indicator = np.zeros(2_000)
         indicator[5:25] = 1.0
-        assert inner_product_estimate(sketch, indicator) == pytest.approx(
-            range_sum(sketch, 5, 25), rel=1e-9
+        estimate = session.query(kind="inner_product", vector=indicator)
+        assert estimate == pytest.approx(
+            session.query(kind="range", low=5, high=25), rel=1e-9
         )
 
 
 class TestQuantiles:
     def test_median_of_biased_vector_is_near_the_bias(self, fitted):
-        sketch, vector = fitted
-        assert approximate_quantile(sketch, 0.5) == pytest.approx(
+        session, vector = fitted
+        assert approximate_quantile(session.sketch, 0.5) == pytest.approx(
             np.median(vector), abs=10.0
         )
 
     def test_extreme_quantiles(self, fitted):
-        sketch, vector = fitted
+        session, _ = fitted
+        sketch = session.sketch
         assert approximate_quantile(sketch, 0.0) <= approximate_quantile(sketch, 1.0)
 
     def test_invalid_q(self, fitted):
-        sketch, _ = fitted
+        session, _ = fitted
         with pytest.raises(ValueError):
-            approximate_quantile(sketch, 1.5)
+            approximate_quantile(session.sketch, 1.5)
 
     def test_works_on_count_min(self, small_count_vector):
         sketch = CountMin(small_count_vector.size, 64, 5, seed=2)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import SketchConfig, SketchSession
 from repro.queries.dyadic import DyadicRangeSketch
-from repro.queries.range_query import range_sum
-from repro.sketches.registry import make_sketch
 
 
 @pytest.fixture
@@ -58,14 +57,16 @@ class TestDyadicAccuracy:
         self, biased_counts
     ):
         """The reason the structure exists: O(log n) vs O(range) error growth."""
-        flat = make_sketch("count_sketch", biased_counts.size, 256, 5, seed=5)
-        flat.fit(biased_counts)
+        flat = SketchSession.from_config(SketchConfig(
+            "count_sketch", dimension=biased_counts.size, width=256, depth=5,
+            seed=5,
+        )).ingest(biased_counts)
         dyadic = DyadicRangeSketch(
             biased_counts.size, 256, 5, algorithm="count_sketch", seed=5
         ).fit(biased_counts)
         low, high = 0, 2_500
         truth = float(biased_counts[low:high].sum())
-        flat_error = abs(range_sum(flat, low, high) - truth)
+        flat_error = abs(flat.query(kind="range", low=low, high=high) - truth)
         dyadic_error = abs(dyadic.range_sum(low, high) - truth)
         assert dyadic_error < flat_error
 

@@ -1,44 +1,25 @@
-"""Unit tests for point queries."""
+"""Accuracy of point queries through the session facade."""
 
 import numpy as np
 import pytest
 
-from repro.core import L2BiasAwareSketch
-from repro.queries.point import batch_point_query, point_query
+from repro.api import SketchConfig, SketchSession
 
 
 @pytest.fixture
-def fitted_sketch(biased_gaussian_vector):
-    sketch = L2BiasAwareSketch(biased_gaussian_vector.size, 128, 5, seed=1)
-    return sketch.fit(biased_gaussian_vector), biased_gaussian_vector
+def fitted_session(biased_gaussian_vector):
+    config = SketchConfig("l2_sr", dimension=biased_gaussian_vector.size,
+                          width=128, depth=5, seed=1)
+    session = SketchSession.from_config(config).ingest(biased_gaussian_vector)
+    return session, biased_gaussian_vector
 
 
 class TestPointQuery:
-    def test_estimate_matches_sketch_query(self, fitted_sketch):
-        sketch, vector = fitted_sketch
-        result = point_query(sketch, 42)
-        assert result.estimate == pytest.approx(sketch.query(42))
-        assert result.truth is None
-        assert result.absolute_error is None
-
-    def test_truth_attached_when_provided(self, fitted_sketch):
-        sketch, vector = fitted_sketch
-        result = point_query(sketch, 42, truth=vector)
-        assert result.truth == pytest.approx(vector[42])
-        assert result.absolute_error == pytest.approx(
-            abs(result.estimate - vector[42])
-        )
-
-    def test_batch_query_length_and_order(self, fitted_sketch):
-        sketch, vector = fitted_sketch
-        results = batch_point_query(sketch, [3, 1, 4], truth=vector)
-        assert [r.index for r in results] == [3, 1, 4]
-        assert all(r.absolute_error is not None for r in results)
-
-    def test_errors_are_small_on_biased_data(self, fitted_sketch):
-        sketch, vector = fitted_sketch
-        results = batch_point_query(sketch, range(0, 5_000, 250), truth=vector)
-        errors = [r.absolute_error for r in results]
+    def test_errors_are_small_on_biased_data(self, fitted_session):
+        session, vector = fitted_session
+        indices = np.arange(0, 5_000, 250)
+        estimates = session.query(kind="point", index=indices)
+        errors = np.abs(estimates - vector[indices])
         # the per-coordinate noise of a width-128 ℓ2-S/R on this workload is
         # of the order Err_2(debiased)/√width ≈ 95; the median error sits well
         # below the outlier magnitude (10 000) and the bias (100 · n/s ≈ 3900

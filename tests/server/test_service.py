@@ -7,6 +7,7 @@ smoke workload do.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.server import (
     ServerConfig,
     ServerHandle,
 )
+from repro.streaming import WindowSpec
 
 DIMENSION = 2_000
 SEED = 11
@@ -103,6 +105,17 @@ class TestIngestAndQuery:
         client.flush()
         assert client.stats()["updates_applied"] == 0
 
+    def test_non_finite_delta_is_rejected_on_the_connection(self, client):
+        with pytest.raises(RemoteOperationError,
+                           match="deltas must contain only finite values") \
+                as excinfo:
+            client.ingest([1, 2], [1.0, float("nan")])
+        assert excinfo.value.code == "config"
+        client.flush()
+        stats = client.stats()
+        assert stats["updates_accepted"] == 0
+        assert stats["batches_rejected"] == 0
+
 
 class TestStalenessContract:
     def test_snapshot_is_bit_identical_to_reported_epoch(self, client):
@@ -120,7 +133,6 @@ class TestStalenessContract:
         for _ in range(deadline):
             if client.point(1).epoch >= 1:
                 break
-            import time
             time.sleep(0.05)
         answer = client.point(1)
         assert answer.epoch >= 1
@@ -131,6 +143,47 @@ class TestStalenessContract:
         first = client.flush()
         second = client.flush()
         assert second == first
+
+
+class TestWindowedServing:
+    def test_count_paned_window_round_trip(self):
+        window = WindowSpec(mode="sliding", panes=4, pane_size=500)
+        config = sketch_config(algorithm="count_sketch", window=window)
+        handle = ServerHandle.start(
+            ServerConfig(sketch=config, snapshot_interval=0.05)
+        )
+        rng = np.random.default_rng(9)
+        batches = [rng.integers(0, DIMENSION, 700) for _ in range(5)]
+        reference = SketchSession.from_config(config)
+        try:
+            with Client(handle.host, handle.port) as client:
+                for batch in batches:
+                    assert client.ingest(batch) == batch.size
+                    reference.ingest(batch)
+                client.flush()
+                epoch, payload = client.snapshot()
+                answers = client.query("point", index=[0, 17, 423]).value
+        finally:
+            handle.stop()
+        assert epoch >= 1
+        assert payload == reference.to_bytes()
+        assert answers == [
+            reference.query(kind="point", index=i) for i in (0, 17, 423)
+        ]
+
+    def test_time_paned_window_is_refused_at_boot(self):
+        window = WindowSpec(mode="sliding", panes=4, pane_size=5.0, by="time")
+        with pytest.raises(ConfigError, match="timestamps"):
+            ServerHandle.start(ServerConfig(sketch=sketch_config(window=window)))
+
+    def test_store_restored_time_paned_window_is_refused_at_boot(
+        self, tmp_path
+    ):
+        window = WindowSpec(mode="tumbling", pane_size=5.0, by="time")
+        uri = f"store://{tmp_path / 'timed.db'}#live"
+        SketchSession.from_config(sketch_config(window=window)).save(uri)
+        with pytest.raises(ConfigError, match="timestamps"):
+            ServerHandle.start(ServerConfig(store=uri))
 
 
 class TestStats:
@@ -162,6 +215,32 @@ class TestStats:
         with Client(handle.host, handle.port) as second:
             totals = second.stats()["totals"]
         assert totals["ingest_updates"] == 3
+
+    def test_accounting_stays_one_counter_set_per_live_connection(
+        self, handle
+    ):
+        for _ in range(5):
+            with Client(handle.host, handle.port) as client:
+                for _ in range(40):
+                    client.ingest([1, 2])
+                    client.point(1)
+        server = handle.server
+        deadline = time.monotonic() + 5.0
+        while server._conn_counters and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with Client(handle.host, handle.port) as client:
+            client.ping()
+            stats = client.stats()
+        # only the live connection is listed; the five closed ones were
+        # folded into one total and left nothing behind
+        assert len(stats["connections"]) == 1
+        (live,) = stats["connections"].values()
+        assert live["messages"] == 1
+        assert len(server._conn_counters) == 1
+        totals = stats["totals"]
+        assert totals["ingest_updates"] == 5 * 40 * 2
+        assert totals["queries"] == 5 * 40
+        assert totals["messages"] == 5 * 80 + 1
 
 
 class TestDrain:

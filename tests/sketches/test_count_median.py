@@ -49,14 +49,14 @@ class TestCountMedianEstimation:
         sketch = CountMedian(100, 16, 1, seed=5).fit(vector)
         assert sketch.table.shape == (1, 16)
         assert sketch.query(3) == pytest.approx(
-            sketch.table[0, sketch._table.buckets[0, 3]]
+            sketch.table[0, sketch._table.bucket_columns(np.arange(100))[0, 3]]
         )
 
     def test_estimate_is_sum_of_colliding_coordinates(self):
         """In each row the bucket value is exactly the sum of colliding coords."""
         vector = np.arange(1.0, 51.0)
         sketch = CountMedian(50, 8, 3, seed=7).fit(vector)
-        buckets = sketch._table.buckets
+        buckets = sketch._table.bucket_columns(np.arange(50))
         for row in range(3):
             for bucket in range(8):
                 members = np.flatnonzero(buckets[row] == bucket)

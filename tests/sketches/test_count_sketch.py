@@ -51,5 +51,6 @@ class TestCountSketchEstimation:
         assert psi.shape == (4, 32)
         # per row, the sum of ψ equals the sum of all signs
         np.testing.assert_allclose(
-            psi.sum(axis=1), sketch._table.sign_values.sum(axis=1)
+            psi.sum(axis=1),
+            sketch._table.sign_columns(np.arange(200)).sum(axis=1),
         )

@@ -72,10 +72,12 @@ class TestDebiasedCountMin:
         assert sketch.size_in_words() == 32 * 3 + 1
 
     def test_registered_in_registry(self):
-        from repro.sketches.registry import get_spec, make_sketch
+        from repro.api import SketchConfig
+        from repro.sketches.registry import get_spec
 
         spec = get_spec("debiased_count_min")
         assert spec.linear is True
         assert spec.bias_aware is False
-        sketch = make_sketch("debiased_count_min", 100, 16, 3, seed=0)
+        sketch = SketchConfig("debiased_count_min", dimension=100, width=16,
+                              depth=3, seed=0).build()
         assert isinstance(sketch, DebiasedCountMin)

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.api import SketchConfig
 from repro.sketches.registry import (
     QUERY_KINDS,
     available_sketches,
     get_spec,
-    make_sketch,
     mean_heuristic_suite,
     paper_reference_suite,
     register_sketch,
@@ -31,7 +31,8 @@ class TestRegistryLookup:
 
     def test_all_registered_names_buildable(self):
         for name in available_sketches():
-            sketch = make_sketch(name, dimension=50, width=8, depth=2, seed=1)
+            sketch = SketchConfig(name, dimension=50, width=8,
+                                  depth=2, seed=1).build()
             assert sketch.dimension == 50
 
     def test_bias_aware_flag(self):
@@ -44,7 +45,7 @@ class TestRegistryLookup:
 
     def test_unknown_name_raises_keyerror_with_suggestions(self):
         with pytest.raises(KeyError, match="available"):
-            make_sketch("no_such_sketch", 10, 4, 2)
+            get_spec("no_such_sketch")
 
     def test_baselines_listed_before_bias_aware(self):
         names = available_sketches()

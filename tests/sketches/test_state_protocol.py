@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import serialization
+from repro.api import SketchConfig
 from repro.compressive import GaussianSketch
 from repro.core import BiasHeap, L1BiasAwareSketch, StreamingL2BiasAwareSketch
 from repro.serialization import (
@@ -23,7 +24,7 @@ from repro.serialization import (
     state_word_count,
 )
 from repro.sketches import CountMin, CountMinCU, CountMinLogCU, CountSketch
-from repro.sketches.registry import available_sketches, make_sketch
+from repro.sketches.registry import available_sketches
 
 DIMENSION = 200
 WIDTH = 32
@@ -160,7 +161,8 @@ class TestWordAccounting:
         rng = np.random.default_rng(3)
         indices = rng.integers(0, DIMENSION, size=200)
         for name in available_sketches():
-            sketch = make_sketch(name, DIMENSION, WIDTH, DEPTH, seed=SEED)
+            sketch = SketchConfig(name, dimension=DIMENSION, width=WIDTH,
+                                  depth=DEPTH, seed=SEED).build()
             sketch.update_batch(indices, np.ones(indices.size))
             payload = sketch.to_bytes()
             assert payload_word_count(payload) == sketch.size_in_words(), name

