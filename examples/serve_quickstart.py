@@ -39,8 +39,9 @@ def main() -> None:
     config = ServerConfig(
         sketch=SketchConfig("count_min", dimension=DIMENSION, width=2_048,
                             depth=9, seed=7),
-        snapshot_interval=0.1,     # refresh the read replica every 100 ms...
-        snapshot_updates=100_000,  # ...or every 100k updates, first wins
+        snapshot_interval=0.1,     # refresh 100 ms after the first unpublished
+                                   # update, once the ingest queue idles...
+        snapshot_updates=100_000,  # ...or every 100k applied updates
     )
     handle = ServerHandle.start(config)
     print(f"serving on {handle.host}:{handle.port}")

@@ -5,10 +5,11 @@ An HTAP-style split over one :class:`~repro.api.SketchSession`:
 * the **writer** owns the live session (warm sharded-ingest pool, windowed
   panes) and applies batched updates from a bounded queue, in order;
 * **readers** answer point / heavy-hitter / range / inner-product queries
-  from read replicas restored via ``from_bytes`` and refreshed on a
-  configurable snapshot cadence — every answer carries the replica's
-  ``epoch``, so staleness is always explicit, and the ``snapshot``
-  operation returns the verbatim payload behind the current epoch.
+  from read replicas, in-memory copies of the writer state that share a
+  window's closed panes, refreshed on a configurable snapshot cadence —
+  every answer carries the replica's ``epoch``, so staleness is always
+  explicit, and the ``snapshot`` operation returns the payload behind the
+  current epoch.
 
 >>> from repro.server import Client, ServerConfig, ServerHandle
 >>> handle = ServerHandle.start(ServerConfig(sketch=config))

@@ -50,12 +50,14 @@ class ServerConfig:
         Apply ingest batches through the multi-core sharded engine with
         this many shards (``1`` = single-process; linear sketches only).
     snapshot_interval:
-        Refresh the read replica at most this many seconds after the first
-        un-snapshotted update (bounded staleness, in seconds).
+        From this many seconds after the first unpublished update, refresh
+        the read replica as soon as the ingest queue stays empty for 5 ms.
+        Under continuous ingest the queue never empties, so this bounds
+        staleness only between bursts.
     snapshot_updates:
-        Also refresh once this many updates accumulate since the last
-        snapshot, so heavy ingest cannot stretch staleness in *update*
-        terms either.
+        Also refresh once this many updates have been applied since the
+        last refresh.  Under continuous ingest this is the only bound on
+        staleness.
     queue_depth:
         Bound of the ingest queue, in batches; a full queue backpressures
         ingest connections instead of growing without limit.
@@ -90,11 +92,14 @@ class ServerConfig:
             )
         if not isinstance(self.port, int) or not (0 <= self.port <= 65535):
             raise ConfigError(f"port must be in [0, 65535], got {self.port!r}")
-        require_positive_int(self.shards, "shards")
-        require_positive_int(self.queue_depth, "queue_depth")
-        require_positive_int(self.snapshot_updates, "snapshot_updates")
-        require_positive_int(self.max_frame_bytes, "max_frame_bytes")
+        for name in ("shards", "queue_depth", "snapshot_updates",
+                     "max_frame_bytes"):
+            try:
+                require_positive_int(getattr(self, name), name)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from None
         if not (isinstance(self.snapshot_interval, (int, float))
+                and not isinstance(self.snapshot_interval, bool)
                 and self.snapshot_interval > 0):
             raise ConfigError(
                 f"snapshot_interval must be a positive number of seconds, "

@@ -9,16 +9,21 @@ One :class:`ReproServer` owns exactly one **writer** and any number of
   event loop, enqueued on a **bounded** queue (a full queue backpressures
   the ingesting connection instead of buffering without limit), and applied
   by a single writer task on a dedicated executor thread;
-* the reader path answers every query from a **read replica**: a session
-  restored via :meth:`~repro.api.SketchSession.from_bytes` from the
-  writer's latest snapshot payload and refreshed on a configurable cadence
-  (every ``snapshot_interval`` seconds of dirtiness, or every
-  ``snapshot_updates`` applied updates, whichever comes first).  Queries
-  therefore **never touch the ingest session**; every query response
-  carries the replica's ``epoch`` so clients know exactly how stale their
-  read is, and the ``snapshot`` operation returns the verbatim payload the
-  current replica was restored from — answers are bit-identical to a local
-  ``from_bytes`` restore of that payload.
+* the reader path answers every query from a **read replica**: an
+  in-memory copy of the writer session, published on the writer thread.  A
+  windowed replica shares the writer's closed panes, which the pane ring
+  never mutates again, and copies only the open pane; an unwindowed replica
+  copies the sketch.  A new replica is published once ``snapshot_updates``
+  updates have been applied since the last one, or, from
+  ``snapshot_interval`` seconds after the first unpublished update, as soon
+  as the writer's queue stays empty for 5 ms — so under continuous ingest
+  only ``snapshot_updates`` bounds staleness.  Queries therefore **never
+  touch the ingest session**; every query response carries the replica's
+  ``epoch`` so clients know exactly how stale their read is, and the
+  ``snapshot`` operation returns the replica's wire payload, encoded on the
+  first request of each epoch: it equals the writer's ``to_bytes()`` at
+  that epoch, and answers are bit-identical to a local ``from_bytes``
+  restore of it.
 
 Per-connection traffic is accounted in six fixed counters (messages and
 bytes per operation class), folded into one lifetime total when the
@@ -72,11 +77,15 @@ _COUNTER_FIELDS = ("messages", "ingest_bytes", "ingest_updates",
 
 
 class _Published(NamedTuple):
-    """One immutable read-replica publication (swapped atomically)."""
+    """One read-replica publication, swapped in whole.
+
+    No update reaches ``replica`` once it is published (readers only build
+    its merged window view), so queries and the lazy ``snapshot`` encode
+    may still hold it after later epochs are published.
+    """
 
     epoch: int
     replica: SketchSession
-    payload: bytes
     items: int
 
 
@@ -117,6 +126,8 @@ class ReproServer:
         self._session: Optional[SketchSession] = None
         self._restored_from_store = False
         self._published: Optional[_Published] = None
+        #: the epoch last asked for by ``snapshot``, and its payload encode
+        self._snapshot: Optional[Tuple[int, asyncio.Future]] = None
         self._epoch = 0
         self._queue: Optional[asyncio.Queue] = None
         self._writer_task: Optional[asyncio.Task] = None
@@ -186,8 +197,8 @@ class ReproServer:
         if not self._session.config.portable:
             raise ConfigError(
                 "serving requires an explicit integer seed: the read "
-                "replicas are restored from snapshot payloads, which only "
-                "seeded sketches can produce"
+                "replicas are copied through the sketch state and snapshots "
+                "are wire payloads, which only seeded sketches can produce"
             )
         if self._config.shards > 1 and not self._session.spec.linear:
             raise ConfigError(
@@ -337,25 +348,32 @@ class ReproServer:
 
     async def _refresh_replica(self, *, force: bool = False,
                                first: bool = False) -> None:
-        """Snapshot the writer session and swap in a fresh read replica."""
+        """Copy the writer session and publish the copy as the read replica.
+
+        The copy is made on the writer thread, between two batches, so it is
+        a consistent cut.  A windowed copy shares the closed panes and
+        copies the open one (see ``SlidingWindowSketch._copy``).
+        """
         if not force and self._pending_updates == 0:
             self._dirty_since = None
             return
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._executor, self._session.to_bytes
-        )
-        items = await loop.run_in_executor(
-            self._executor, lambda: int(self._session.items_processed)
-        )
-        replica = await loop.run_in_executor(
-            self._executor, SketchSession.from_bytes, payload
+        replica = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._copy_session
         )
         if not first:
             self._epoch += 1
-        self._published = _Published(self._epoch, replica, payload, items)
+        self._published = _Published(
+            self._epoch, replica, int(replica.items_processed)
+        )
         self._pending_updates = 0
         self._dirty_since = None
+
+    def _copy_session(self) -> SketchSession:
+        """A copy of the writer session that later ingest leaves unchanged."""
+        session = self._session
+        if session.windowed:
+            return SketchSession(session.config, session.window._copy())
+        return SketchSession(session.config, session.sketch.copy())
 
     # ------------------------------------------------------------------ #
     # reader path (one handler per connection)
@@ -590,6 +608,16 @@ class ReproServer:
         self, header: Dict[str, Any], payload: bytes
     ) -> Tuple[Dict[str, Any], bytes]:
         published = self._published
+        if self._snapshot is None or self._snapshot[0] != published.epoch:
+            # encoded once per epoch, on the writer thread, off the loop
+            self._snapshot = (
+                published.epoch,
+                asyncio.get_running_loop().run_in_executor(
+                    self._executor, published.replica.to_bytes
+                ),
+            )
+        # shielded: one cancelled request must not cancel the shared encode
+        data = await asyncio.shield(self._snapshot[1])
         return (
             {
                 "ok": True,
@@ -597,7 +625,7 @@ class ReproServer:
                 "epoch": published.epoch,
                 "items": published.items,
             },
-            published.payload,
+            data,
         )
 
     async def _op_flush(

@@ -37,6 +37,7 @@ be persisted, shipped and reopened anywhere like a bare sketch.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -359,6 +360,21 @@ class SlidingWindowSketch:
 
     def _new_pane(self) -> "LinearSketch":
         return self._config.build()  # type: ignore[return-value]
+
+    def _copy(self) -> "SlidingWindowSketch":
+        """A copy that later updates to either window leave unchanged.
+
+        Closed panes are shared, not copied: once :meth:`_close_pane` has
+        moved a pane into the ring nothing mutates it again (rotation only
+        appends to and pops from the list, and :meth:`view` and
+        :meth:`fold_closed_panes` merge into copies), so only the open pane
+        and the pane list need fresh copies.
+        """
+        window = copy.copy(self)  # the ring bookkeeping, by value
+        window._closed = list(self._closed)
+        window._current = self._current.copy()
+        window._merged = None
+        return window
 
     # ------------------------------------------------------------------ #
     # introspection

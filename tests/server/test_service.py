@@ -186,6 +186,57 @@ class TestWindowedServing:
             ServerHandle.start(ServerConfig(store=uri))
 
 
+class TestReplicaIsolation:
+    """A published replica stays put while the writer moves on behind it."""
+
+    @pytest.mark.parametrize("config", [
+        sketch_config(algorithm="count_sketch",
+                      window=WindowSpec(mode="sliding", panes=4,
+                                        pane_size=500)),
+        sketch_config(algorithm="l2_sr_streaming"),
+    ], ids=["sliding-window", "l2_sr_streaming"])
+    def test_replica_ignores_ingest_after_its_epoch(self, config):
+        # an interval and an update total that never publish by themselves
+        handle = ServerHandle.start(
+            ServerConfig(sketch=config, snapshot_interval=60)
+        )
+        rng = np.random.default_rng(5)
+        prefix = [rng.integers(0, DIMENSION, 600) for _ in range(2)]
+        # three panes' worth: the writer rotates and evicts behind the
+        # published replica
+        suffix = [rng.integers(0, DIMENSION, 500) for _ in range(3)]
+        reference = SketchSession.from_config(config)
+        probes = [0, 17, 423, DIMENSION - 1]
+        try:
+            with Client(handle.host, handle.port) as client:
+                for batch in prefix:
+                    client.ingest(batch)
+                    reference.ingest(batch)
+                epoch = client.flush()
+                for batch in suffix:
+                    client.ingest(batch)
+                deadline = time.monotonic() + 10.0
+                while (client.stats()["updates_applied"] < 2_700
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert client.stats()["updates_applied"] == 2_700
+                # the epoch is first encoded and queried only now, after the
+                # writer has moved on
+                assert client.snapshot() == (epoch, reference.to_bytes())
+                answers = client.query("point", index=probes)
+                assert answers.epoch == epoch
+                assert answers.value == [
+                    reference.query(kind="point", index=i) for i in probes
+                ]
+                for batch in suffix:
+                    reference.ingest(batch)
+                later = client.flush()
+                assert later == epoch + 1
+                assert client.snapshot() == (later, reference.to_bytes())
+        finally:
+            handle.stop()
+
+
 class TestStats:
     def test_stats_reports_per_connection_byte_counts(self, handle):
         with Client(handle.host, handle.port) as ingester:
@@ -231,12 +282,15 @@ class TestStats:
         with Client(handle.host, handle.port) as client:
             client.ping()
             stats = client.stats()
+            # read while the connection is live: closing it races the
+            # server's teardown of its counters
+            live_counters = len(server._conn_counters)
         # only the live connection is listed; the five closed ones were
         # folded into one total and left nothing behind
         assert len(stats["connections"]) == 1
         (live,) = stats["connections"].values()
         assert live["messages"] == 1
-        assert len(server._conn_counters) == 1
+        assert live_counters == 1
         totals = stats["totals"]
         assert totals["ingest_updates"] == 5 * 40 * 2
         assert totals["queries"] == 5 * 40
@@ -295,6 +349,17 @@ class TestServerConfigValidation:
     def test_rejects_bad_port(self):
         with pytest.raises(ConfigError, match="port"):
             ServerConfig(sketch=sketch_config(), port=99_999)
+
+    @pytest.mark.parametrize("field", [
+        "shards", "queue_depth", "snapshot_updates", "max_frame_bytes",
+    ])
+    def test_wrong_typed_count_is_a_config_error(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ServerConfig(sketch=sketch_config(), **{field: "2"})
+
+    def test_rejects_bool_snapshot_interval(self):
+        with pytest.raises(ConfigError, match="snapshot_interval"):
+            ServerConfig(sketch=sketch_config(), snapshot_interval=True)
 
     def test_rejects_nonlinear_sketch_with_shards(self):
         with pytest.raises(ConfigError, match="not linear"):

@@ -330,6 +330,57 @@ class TestWindowWireFormat:
             SlidingWindowSketch.from_state(state)
 
 
+class TestEngineCopy:
+    """``_copy`` shares the closed panes, yet neither side sees the other's
+    later updates — what a read replica of a live window relies on."""
+
+    CASES = {
+        "sliding-count": ("count_sketch",
+                          dict(mode="sliding", panes=3, pane_size=10)),
+        "sliding-time": ("count_min", dict(mode="sliding", panes=3,
+                                           pane_size=5.0, by="time")),
+        "tumbling": ("count_min", dict(mode="tumbling", pane_size=10)),
+        "tumbling-cu": ("count_min_cu", dict(mode="tumbling", pane_size=10)),
+        "decay": ("count_sketch", dict(mode="decay", pane_size=10,
+                                       decay=0.5)),
+    }
+
+    @staticmethod
+    def feed(window, start, stop):
+        """Updates ``start..stop`` of one fixed stream, 10 per pane."""
+        rng = np.random.default_rng(start)
+        indices = rng.integers(0, DIMENSION, size=stop - start)
+        deltas = rng.integers(1, 4, size=stop - start).astype(float)
+        if window.spec.by == "time":
+            window.update_batch(indices, deltas,
+                                timestamps=np.arange(start, stop) * 0.5)
+        else:
+            window.update_batch(indices, deltas)
+
+    @pytest.mark.parametrize("moved", ["original", "copy"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_copy_is_equal_then_independent(self, case, moved):
+        name, fields = self.CASES[case]
+        window = SlidingWindowSketch(config(name, **fields))
+        self.feed(window, 0, 25)
+        duplicate = window._copy()
+        frozen = window.to_bytes()
+        assert duplicate.to_bytes() == frozen
+        mover, still = ((window, duplicate) if moved == "original"
+                        else (duplicate, window))
+        evictions = mover.evictions
+        self.feed(mover, 25, 60)
+        assert mover.pane_closes >= 5
+        if fields["mode"] != "decay":
+            assert mover.evictions > evictions
+        assert still.to_bytes() == frozen
+        # the side that moved evolves exactly as an uncopied window would
+        reference = SlidingWindowSketch(config(name, **fields))
+        self.feed(reference, 0, 25)
+        self.feed(reference, 25, 60)
+        assert mover.to_bytes() == reference.to_bytes()
+
+
 class TestSessionIntegration:
     def make_session(self, **window_fields):
         return SketchSession.from_config(config(**window_fields))

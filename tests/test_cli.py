@@ -120,6 +120,13 @@ class TestErrorPaths:
         code, output = run_cli("sketch", "load", str(path))
         self.assert_one_line_error(code, output)
 
+    def test_serve_config_with_wrong_typed_field(self, tmp_path):
+        path = tmp_path / "server.json"
+        path.write_text('{"algorithm": "count_min", "dimension": 100, '
+                        '"seed": 1, "shards": "2"}')
+        code, output = run_cli("serve", "--config", str(path))
+        self.assert_one_line_error(code, output, "shards")
+
 
 class TestDatasetsCommand:
     def test_lists_all_datasets_with_bias_gain(self):
