@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.bias import SamplingMedianEstimator
 from repro.serialization import register_serializable
-from repro.sketches._tables import HashedCounterTable
+from repro.sketches._tables import HashedCounterTable, median_over_rows
 from repro.sketches.base import LinearSketch
 from repro.utils.rng import RandomSource, derive_seed
 
@@ -117,23 +117,17 @@ class L1BiasAwareSketch(LinearSketch):
 
     def query(self, index: int) -> float:
         index = self._check_index(index)
-        beta = self.estimate_bias()
-        buckets = self._table.bucket_column(index)
-        rows = np.arange(self.depth)
-        debiased = (
-            self._table.table[rows, buckets] - beta * self._pi[rows, buckets]
-        )
-        return float(np.median(debiased)) + beta
+        return float(self._estimate(index))
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
+        return self._estimate(idx)
+
+    def _estimate(self, keys) -> np.ndarray:
+        """Algorithm 2's recovery of one validated key or a batch of them."""
         beta = self.estimate_bias()
-        cols = self._table.bucket_columns(idx)
-        debiased = (
-            np.take_along_axis(self._table.table, cols, axis=1)
-            - beta * np.take_along_axis(self._pi, cols, axis=1)
-        )
-        return np.median(debiased, axis=0) + beta
+        counters, pi = self._table.gather(keys, self._pi)
+        return median_over_rows(counters - beta * pi) + beta
 
     # ------------------------------------------------------------------ #
     # linearity

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.bias import MiddleBucketsMeanEstimator
 from repro.serialization import register_serializable
-from repro.sketches._tables import HashedCounterTable
+from repro.sketches._tables import HashedCounterTable, median_over_rows
 from repro.sketches.base import LinearSketch
 from repro.utils.rng import RandomSource, derive_seed
 
@@ -135,28 +135,17 @@ class L2BiasAwareSketch(LinearSketch):
 
     def query(self, index: int) -> float:
         index = self._check_index(index)
-        beta = self.estimate_bias()
-        return self._query_with_bias(index, beta)
+        return float(self._estimate(index))
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
-        beta = self.estimate_bias()
-        cols = self._cs_table.bucket_columns(idx)
-        debiased = (
-            np.take_along_axis(self._cs_table.table, cols, axis=1)
-            - beta * np.take_along_axis(self._psi, cols, axis=1)
-        )
-        signed = debiased * self._cs_table.sign_columns(idx)
-        return np.median(signed, axis=0) + beta
+        return self._estimate(idx)
 
-    def _query_with_bias(self, index: int, beta: float) -> float:
-        buckets = self._cs_table.bucket_column(index)
-        rows = np.arange(self.depth)
-        debiased = (
-            self._cs_table.table[rows, buckets] - beta * self._psi[rows, buckets]
-        )
-        signed = debiased * self._cs_table.sign_column(index)
-        return float(np.median(signed)) + beta
+    def _estimate(self, keys) -> np.ndarray:
+        """Algorithm 4's recovery of one validated key or a batch of them."""
+        beta = self.estimate_bias()
+        counters, psi, signs = self._cs_table.gather(keys, self._psi)
+        return median_over_rows((counters - beta * psi) * signs) + beta
 
     # ------------------------------------------------------------------ #
     # linearity

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.bias import MeanEstimator
 from repro.serialization import register_serializable
-from repro.sketches._tables import HashedCounterTable
+from repro.sketches._tables import HashedCounterTable, median_over_rows
 from repro.sketches.base import LinearSketch
 from repro.utils.rng import RandomSource
 
@@ -97,28 +97,20 @@ class MeanBiasSketch(LinearSketch):
 
     def query(self, index: int) -> float:
         index = self._check_index(index)
-        beta = self.estimate_bias()
-        buckets = self._table.bucket_column(index)
-        rows = np.arange(self.depth)
-        debiased = (
-            self._table.table[rows, buckets]
-            - beta * self._column_sums[rows, buckets]
-        )
-        if self.signed:
-            debiased = debiased * self._table.sign_column(index)
-        return float(np.median(debiased)) + beta
+        return float(self._estimate(index))
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
+        return self._estimate(idx)
+
+    def _estimate(self, keys) -> np.ndarray:
+        """De-bias by the mean and median-combine one validated key or a batch."""
         beta = self.estimate_bias()
-        cols = self._table.bucket_columns(idx)
-        debiased = (
-            np.take_along_axis(self._table.table, cols, axis=1)
-            - beta * np.take_along_axis(self._column_sums, cols, axis=1)
-        )
+        values = self._table.gather(keys, self._column_sums)
+        debiased = values[0] - beta * values[1]
         if self.signed:
-            debiased = debiased * self._table.sign_columns(idx)
-        return np.median(debiased, axis=0) + beta
+            debiased = debiased * values[2]
+        return median_over_rows(debiased) + beta
 
     # ------------------------------------------------------------------ #
     # linearity

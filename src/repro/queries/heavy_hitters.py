@@ -14,6 +14,12 @@ sketches, typically fed from the tracked set of a
 :class:`~repro.queries.topk.StreamingTopK`); without one, a bounded domain
 is scanned in fixed-size blocks of batched point queries, so memory stays
 O(block) instead of materialising all ``n`` estimates at once.
+
+A ``phi`` query needs the total mass before it can threshold anything.  When
+the mass and the reported keys are the same keys (the whole bounded domain,
+or the candidates of an unbounded sketch) and they fit in one
+:data:`SCAN_BLOCK`, each key is estimated once and the block serves both
+passes; a larger scan estimates its keys twice, so memory stays O(block).
 """
 
 from __future__ import annotations
@@ -37,36 +43,36 @@ class HeavyHitter:
     score: float
 
 
-def _candidate_blocks(
-    sketch: Sketch, candidates
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(indices, estimates)`` blocks for the keys under evaluation.
-
-    With explicit ``candidates`` the keys are estimated in one batched
-    query; otherwise the sketch's (bounded) domain is scanned in blocks of
-    :data:`SCAN_BLOCK` coordinates, so no ``(n,)`` estimates array is ever
-    materialised.
-    """
+def _scan_keys(sketch: Sketch, candidates) -> Optional[np.ndarray]:
+    """The unique valid ``candidates``, or ``None`` for the bounded domain."""
     if candidates is not None:
         # the same validation the ingest path applies (dtype, bounds, and
         # the uint64-above-2^63 pre-check that keeps error messages naming
         # the key the caller actually passed)
         arr, _ = ensure_batch_arrays(candidates, None, sketch.dimension,
                                      name="candidates")
-        idx = np.unique(arr)
-        for start in range(0, idx.size, SCAN_BLOCK):
-            chunk = idx[start:start + SCAN_BLOCK]
-            yield chunk, np.asarray(sketch.query_batch(chunk),
-                                    dtype=np.float64)
-        return
+        return np.unique(arr)
     if sketch.dimension is None:
         raise ValueError(
             "an unbounded (dimension=None) sketch cannot be scanned for "
             "heavy hitters; pass candidates=... with the keys to evaluate "
             "(e.g. the tracked set of a StreamingTopK)"
         )
-    for start in range(0, sketch.dimension, SCAN_BLOCK):
-        idx = np.arange(start, min(start + SCAN_BLOCK, sketch.dimension))
+    return None
+
+
+def _estimated_blocks(
+    sketch: Sketch, keys: Optional[np.ndarray]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(indices, estimates)`` per :data:`SCAN_BLOCK` of ``keys``.
+
+    ``keys=None`` scans the sketch's bounded domain, so no ``(n,)`` index
+    or estimates array is ever materialised.
+    """
+    size = sketch.dimension if keys is None else keys.size
+    for start in range(0, size, SCAN_BLOCK):
+        stop = min(start + SCAN_BLOCK, size)
+        idx = np.arange(start, stop) if keys is None else keys[start:stop]
         yield idx, np.asarray(sketch.query_batch(idx), dtype=np.float64)
 
 
@@ -119,26 +125,37 @@ def _heavy_hitters(
     if relative_to_bias and hasattr(sketch, "estimate_bias"):
         bias = float(sketch.estimate_bias())
 
+    if phi is not None and not (0.0 < phi < 1.0):
+        raise ValueError(f"phi must lie in (0, 1), got {phi}")
+
+    keys = _scan_keys(sketch, candidates)
+    blocks = _estimated_blocks(sketch, keys)
     if phi is not None:
-        if not (0.0 < phi < 1.0):
-            raise ValueError(f"phi must lie in (0, 1), got {phi}")
         if total_mass is None:
-            # the total needs every estimate before any can be thresholded:
-            # accumulate it in a first pass and re-scan to threshold —
-            # twice the hashing, but memory stays O(block) even at
-            # dimension 10^8 (or a 10^7-key candidate set).  On a bounded
-            # sketch the phi base is always the whole domain (candidates
-            # only restrict which keys are reported); an unbounded domain
-            # cannot be scanned, so candidate mass is the only fallback.
-            mass_keys = candidates if sketch.dimension is None else None
+            # the total needs every estimate before any can be thresholded.
+            # On a bounded sketch the phi base is always the whole domain
+            # (candidates only restrict which keys are reported); an
+            # unbounded domain cannot be scanned, so candidate mass is the
+            # only fallback.
+            scanned = sketch.dimension if keys is None else keys.size
+            if candidates is not None and sketch.dimension is not None:
+                mass_blocks = _estimated_blocks(sketch, None)
+            elif scanned <= SCAN_BLOCK:
+                # the mass pass scans the reported keys, in one block:
+                # estimate it once and keep it for the threshold pass
+                blocks = mass_blocks = list(blocks)
+            else:
+                # re-scan to threshold — twice the hashing, but memory stays
+                # O(block) even at dimension 10^8 (or 10^7 candidates)
+                mass_blocks = _estimated_blocks(sketch, keys)
             total_mass = sum(
                 float(np.sum(np.abs(estimates)))
-                for _, estimates in _candidate_blocks(sketch, mass_keys)
+                for _, estimates in mass_blocks
             )
         threshold = phi * total_mass
 
     hitters: List[HeavyHitter] = []
-    for idx, estimates in _candidate_blocks(sketch, candidates):
+    for idx, estimates in blocks:
         scores = estimates - bias
         hot = np.flatnonzero(scores > threshold)
         block_hitters = [

@@ -21,11 +21,22 @@ counts π / sign sums ψ needed by the bias-aware recovery — is computed by a
 blockwise scan over the (necessarily bounded) domain and memoised in a
 module-level cache keyed by the table's structural identity, so copies,
 restored shards and distributed replicas share one array instead of paying
-the O(n) scan each.
+the O(n) scan each.  The hash and sign families of an integer seed are
+memoised the same way, so a restore, a ``copy()`` or a fresh window pane
+does not re-draw them.
+
+Every point query reads through one kernel.  :meth:`HashedCounterTable.gather`
+turns a key batch into flat cells once (bucket columns plus row offsets) and
+reads the counters, and each per-bucket array such as π/ψ, with one
+``take`` each; the sketch applies its estimation rule to those
+``(depth, keys)`` arrays, and :func:`median_over_rows` combines the rows of
+the median kinds.  The min kinds read through
+:meth:`HashedCounterTable.row_estimates`, which rides the same gather.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,6 +70,48 @@ _COLUMN_SUMS_CACHE_MAX_BYTES = 64 * 2**20
 _HOT_BLOCK_CACHE: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 _HOT_BLOCK_CACHE_LIMIT = 16
 _HOT_BLOCK_CACHE_MAX_BYTES = 128 * 2**20
+
+
+def _draw_families(seed: RandomSource, width: int, depth: int,
+                   signed: bool) -> Tuple[List[KWiseHash],
+                                          Optional[List[SignHash]]]:
+    """The hash family, then the sign family of a signed table, of ``seed``."""
+    hashes = hash_family(depth, width, seed=derive_seed(seed, 101))
+    signs = sign_family(depth, seed=derive_seed(seed, 202)) if signed else None
+    return hashes, signs
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded_families(structure_key: Tuple):
+    """:func:`_draw_families` memoised per structural identity.
+
+    An integer seed's families are a pure function of it, so every restore,
+    ``copy()``, pane and replica of a table shares one read-only pair instead
+    of re-drawing ``depth`` (or ``2 × depth``) hash functions.  An entry is a
+    few KB, so a count bound is enough.
+    """
+    seed, _, width, depth, signed = structure_key
+    return _draw_families(seed, width, depth, signed)
+
+
+def median_over_rows(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)``, bit for bit, without its generic overhead.
+
+    ``np.median`` partitions on the middle rank(s) *and* on ``-1`` for its NaN
+    check, then takes the ``np.mean`` of the middle slice.  For an odd depth
+    this partitions on the middle rank alone and adds the ``0.0`` that the
+    mean's sum starts from (which turns a ``-0.0`` median into ``0.0``, and
+    makes the result independent of which signed zero the partition leaves
+    in the middle).  An even depth takes numpy's own mean of the two middle
+    rows.  A batch holding a NaN falls back to ``np.median`` itself.
+    """
+    if np.isnan(values).any():
+        return np.median(values, axis=0)
+    middle = values.shape[0] // 2
+    if values.shape[0] % 2:
+        return np.partition(values, middle, axis=0)[middle] + 0.0
+    part = np.partition(values, (middle - 1, middle), axis=0)
+    return np.mean(part[middle - 1:middle + 1], axis=0)
 
 
 def _unbounded_error(operation: str) -> ValueError:
@@ -105,13 +158,14 @@ class HashedCounterTable:
         self.signed = bool(signed)
         self._seed = seed
 
-        hash_seed = derive_seed(seed, 101)
-        self.hashes: List[KWiseHash] = hash_family(depth, width, seed=hash_seed)
-
-        self.signs: Optional[List[SignHash]] = None
-        if signed:
-            sign_seed = derive_seed(seed, 202)
-            self.signs = sign_family(depth, seed=sign_seed)
+        # shared between the tables of one integer seed: read-only, like π/ψ
+        key = self._structure_key()
+        families = (
+            _draw_families(seed, self.width, self.depth, self.signed)
+            if key is None else _seeded_families(key)
+        )
+        self.hashes: List[KWiseHash] = families[0]
+        self.signs: Optional[List[SignHash]] = families[1]
 
         #: the counters themselves — the only O(width) mutable state
         self.table = np.zeros((depth, width), dtype=np.float64)
@@ -323,25 +377,39 @@ class HashedCounterTable:
     # ------------------------------------------------------------------ #
     # estimates
     # ------------------------------------------------------------------ #
-    def row_estimates(self, index: int) -> np.ndarray:
-        """Per-row estimates of coordinate ``index`` (sign-corrected if signed)."""
-        rows = np.arange(self.depth)
-        values = self.table[rows, self.bucket_column(index)]
-        if self.signed:
-            values = values * self.sign_column(index)
-        return values
+    def gather(self, keys, *per_bucket: np.ndarray) -> List[np.ndarray]:
+        """What a point query reads at the cells of a key batch or one key.
 
-    def row_estimates_batch(self, indices: np.ndarray) -> np.ndarray:
-        """A ``(depth, len(indices))`` array of per-row estimates for a batch.
-
-        Column ``j`` equals :meth:`row_estimates` of ``indices[j]``; the whole
-        batch is hashed and gathered in one pass.
+        Returns the counters, then each ``per_bucket`` array (π or ψ, say,
+        shaped like the table), then — for a signed table only — the keys'
+        ±1 signs.  For a batch each result has shape ``(depth, len(keys))``,
+        column ``j`` holding row ``r``'s entry at bucket ``h_r(keys[j])``;
+        for a single ``int`` key it has shape ``(depth,)``.  The flat cells
+        (bucket columns plus row offsets) are computed once, and each array
+        is read with one ``take``.  A single key is addressed by the scalar
+        hash path, which beats one-element numpy machinery by microseconds.
         """
-        cols = self.bucket_columns(indices)
-        values = np.take_along_axis(self.table, cols, axis=1)
+        if isinstance(keys, int):
+            cells = self.bucket_column(keys) + self._row_offsets[:, 0]
+            signs = self.sign_column(keys) if self.signed else None
+        else:
+            # C order: ``take`` copies an index array that is not C-ordered,
+            # and hot-key bucket columns arrive F-ordered
+            cells = np.add(self.bucket_columns(keys), self._row_offsets,
+                           order="C")
+            signs = self.sign_columns(keys) if self.signed else None
+        values = [array.take(cells) for array in (self.table, *per_bucket)]
+        return values if signs is None else values + [signs]
+
+    def row_estimates(self, keys) -> np.ndarray:
+        """Per-row estimates of a key batch or one key (sign-corrected if signed).
+
+        Shaped as the results of :meth:`gather`.
+        """
+        values = self.gather(keys)
         if self.signed:
-            values = values * self.sign_columns(indices)
-        return values
+            values[0] *= values[1]
+        return values[0]
 
     # ------------------------------------------------------------------ #
     # structural vectors used by the bias-aware recovery

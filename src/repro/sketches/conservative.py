@@ -151,7 +151,7 @@ class CountMinCU(Sketch):
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
-        return np.min(self._table.row_estimates_batch(idx), axis=0)
+        return np.min(self._table.row_estimates(idx), axis=0)
 
     # ------------------------------------------------------------------ #
     # non-linearity is the point

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.serialization import register_serializable
-from repro.sketches._tables import HashedCounterTable
+from repro.sketches._tables import HashedCounterTable, median_over_rows
 from repro.sketches.base import LinearSketch
 from repro.utils.rng import RandomSource
 
@@ -64,11 +64,11 @@ class CountMedian(LinearSketch):
     # ------------------------------------------------------------------ #
     def query(self, index: int) -> float:
         index = self._check_index(index)
-        return float(np.median(self._table.row_estimates(index)))
+        return float(median_over_rows(self._table.row_estimates(index)))
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
-        return np.median(self._table.row_estimates_batch(idx), axis=0)
+        return median_over_rows(self._table.row_estimates(idx))
 
     # ------------------------------------------------------------------ #
     # linearity

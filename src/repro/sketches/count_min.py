@@ -68,7 +68,7 @@ class CountMin(LinearSketch):
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
-        return np.min(self._table.row_estimates_batch(idx), axis=0)
+        return np.min(self._table.row_estimates(idx), axis=0)
 
     def merge(self, other: "CountMin") -> "CountMin":
         self._check_compatible(other)

@@ -80,16 +80,17 @@ class CountMinLogCU(Sketch):
         """Decode a log counter into the count it represents."""
         return (self.base ** counter - 1.0) / (self.base - 1.0)
 
-    def _decode_counters(self, counters: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`counter_to_value` (may differ by 1 ulp from the
-        scalar ``**`` path, as ``np.power`` rounds independently)."""
-        return (np.power(self.base, counters) - 1.0) / (self.base - 1.0)
-
     def value_to_counter(self, value: float) -> float:
         """Encode a count into (fractional) log-counter units."""
         if value < 0:
             raise ValueError(f"counts must be non-negative, got {value}")
         return math.log(value * (self.base - 1.0) + 1.0) / self._log_base
+
+    def _log_codec(self) -> _cu_batch.LogCounterCodec:
+        """The exact conversion tables, built on first use."""
+        if self._codec is None:
+            self._codec = _cu_batch.LogCounterCodec(self.base, self._log_base)
+        return self._codec
 
     def _randomised_round(self, counter: float) -> float:
         """Round a fractional counter to an integer, unbiasedly in counter space."""
@@ -148,11 +149,7 @@ class CountMinLogCU(Sketch):
             d = d[live]
         if idx.size == 0:
             return self
-        codec = self._codec
-        if codec is None:
-            codec = self._codec = _cu_batch.LogCounterCodec(
-                self.base, self._log_base
-            )
+        codec = self._log_codec()
         table = self._table.table
         table_cells = self.depth * self.width
         for begin in range(0, idx.size, SCAN_BLOCK):
@@ -192,8 +189,14 @@ class CountMinLogCU(Sketch):
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
-        min_counters = np.min(self._table.row_estimates_batch(idx), axis=0)
-        return self._decode_counters(min_counters)
+        min_counters = np.min(self._table.row_estimates(idx), axis=0)
+        # the counters are integral, so decoding is a lookup in a table built
+        # with the scalar arithmetic of counter_to_value: a batch answers each
+        # key exactly as query() does (np.power rounds the last ulp
+        # differently, and the subtraction magnifies it)
+        top = int(min_counters.max()) if min_counters.size else 0
+        decode = self._log_codec().decode_table(top)
+        return decode[min_counters.astype(np.int64)]
 
     def merge(self, other) -> "CountMinLogCU":
         """CML-CU is not a linear sketch; merging is undefined."""

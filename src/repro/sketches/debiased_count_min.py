@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.serialization import register_serializable
-from repro.sketches._tables import HashedCounterTable
+from repro.sketches._tables import HashedCounterTable, median_over_rows
 from repro.sketches.base import LinearSketch
 from repro.utils.rng import RandomSource
 
@@ -94,24 +94,19 @@ class DebiasedCountMin(LinearSketch):
     # ------------------------------------------------------------------ #
     def query(self, index: int) -> float:
         index = self._check_index(index)
-        rows = np.arange(self.depth)
-        buckets = self._table.bucket_column(index)
-        counters = self._table.table[rows, buckets]
-        bucket_sizes = self._pi[rows, buckets]
-        outside_mass = self._total_mass - counters
-        outside_items = np.maximum(self.dimension - bucket_sizes, 1.0)
-        background = outside_mass / outside_items * (bucket_sizes - 1.0)
-        return float(np.median(counters - background))
+        return float(self._estimate(index))
 
     def query_batch(self, indices) -> np.ndarray:
         idx, _ = self._check_batch(indices, None)
-        cols = self._table.bucket_columns(idx)
-        counters = np.take_along_axis(self._table.table, cols, axis=1)
-        bucket_sizes = np.take_along_axis(self._pi, cols, axis=1)
+        return self._estimate(idx)
+
+    def _estimate(self, keys) -> np.ndarray:
+        """Subtract each bucket's background and median-combine, per key."""
+        counters, bucket_sizes = self._table.gather(keys, self._pi)
         outside_mass = self._total_mass - counters
         outside_items = np.maximum(self.dimension - bucket_sizes, 1.0)
         background = outside_mass / outside_items * (bucket_sizes - 1.0)
-        return np.median(counters - background, axis=0)
+        return median_over_rows(counters - background)
 
     # ------------------------------------------------------------------ #
     # linearity

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import reference_query_kernels as reference
 from repro.api import SketchConfig, SketchSession
+from repro.queries.heavy_hitters import _heavy_hitters
+from repro.sketches.base import SCAN_BLOCK
 
 
 @pytest.fixture
@@ -80,3 +83,113 @@ class TestHeavyHitters:
             session.query(kind="heavy_hitters", phi=1.5)
         with pytest.raises(ValueError):
             session.query(kind="heavy_hitters", threshold=1.0, top_k=0)
+
+
+def _zipf_sketch(name, dimension, seed):
+    """A sketch of 40,000 Zipf(1.3) updates scrambled over its key space."""
+    rng = np.random.default_rng(seed)
+    ranks = rng.zipf(1.3, 40_000).astype(np.uint64)
+    space = 2**62 if dimension is None else dimension
+    keys = ((ranks * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(space)).astype(np.int64)
+    sketch = SketchConfig(name, dimension=dimension, width=256, depth=5,
+                          seed=seed).build()
+    return sketch.update_batch(keys), np.unique(keys)
+
+
+def _counted(sketch):
+    """Record the size of every ``query_batch`` call the scan makes."""
+    calls = []
+    original = sketch.query_batch
+
+    def query_batch(indices):
+        calls.append(len(indices))
+        return original(indices)
+
+    sketch.query_batch = query_batch
+    return calls
+
+
+def _bits(hitters):
+    return [(h.index, np.float64(h.estimate).tobytes(),
+             np.float64(h.score).tobytes()) for h in hitters]
+
+
+QUERIES = [
+    {"phi": 0.001},
+    {"phi": 0.01, "top_k": 5},
+    {"phi": 0.002, "relative_to_bias": True},
+    {"threshold": 50.0},
+    {"threshold": 20.0, "top_k": 3, "relative_to_bias": True},
+]
+
+
+class TestOnePassScan:
+    """A phi scan estimates each key once when both passes fit one block.
+
+    Every answer — index, estimate, score and order — must equal the frozen
+    two-pass scan of ``reference_query_kernels``.
+    """
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("name", ["l2_sr_streaming", "count_sketch",
+                                      "l1_sr", "count_min_cu"])
+    def test_bounded_domain_matches_the_two_pass_scan(self, name, query):
+        sketch, seen = _zipf_sketch(name, 20_000, seed=8)
+        expected = reference.heavy_hitters(sketch, **query)
+        assert expected
+        assert _bits(_heavy_hitters(sketch, **query)) == _bits(expected)
+        restricted = dict(query, candidates=seen[::3])
+        assert _bits(_heavy_hitters(sketch, **restricted)) == \
+            _bits(reference.heavy_hitters(sketch, **restricted))
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("name", ["count_min_cu", "count_sketch"])
+    def test_hashed_key_candidates_match_the_two_pass_scan(self, name, query):
+        sketch, seen = _zipf_sketch(name, None, seed=9)
+        candidates = np.concatenate([seen, seen[:50]])
+        query = dict(query, candidates=candidates)
+        expected = reference.heavy_hitters(sketch, **query)
+        assert expected
+        assert _bits(_heavy_hitters(sketch, **query)) == _bits(expected)
+
+    def test_a_scan_of_one_block_estimates_each_key_once(self):
+        sketch, _ = _zipf_sketch("l2_sr_streaming", 20_000, seed=10)
+        calls = _counted(sketch)
+        _heavy_hitters(sketch, phi=0.001)
+        assert calls == [20_000]
+        hashed, keys = _zipf_sketch("count_min_cu", None, seed=10)
+        calls = _counted(hashed)
+        _heavy_hitters(hashed, phi=0.001, candidates=keys)
+        assert calls == [keys.size]
+
+    def test_candidates_of_a_bounded_domain_keep_the_domain_mass_pass(self):
+        sketch, seen = _zipf_sketch("count_sketch", 20_000, seed=11)
+        calls = _counted(sketch)
+        _heavy_hitters(sketch, phi=0.001, candidates=seen[:100])
+        assert calls == [20_000, 100]
+
+    @pytest.mark.parametrize("dimension,blocks", [
+        (SCAN_BLOCK, [SCAN_BLOCK]),
+        (SCAN_BLOCK + 1, [SCAN_BLOCK, 1] * 2),
+        (2 * SCAN_BLOCK + 10, [SCAN_BLOCK, SCAN_BLOCK, 10] * 2),
+    ])
+    def test_a_scan_takes_two_passes_only_beyond_one_block(self, dimension,
+                                                           blocks):
+        sketch, _ = _zipf_sketch("count_min", dimension, seed=12)
+        expected = reference.heavy_hitters(sketch, phi=0.001, top_k=20)
+        calls = _counted(sketch)
+        assert _bits(_heavy_hitters(sketch, phi=0.001, top_k=20)) == \
+            _bits(expected)
+        assert calls == blocks
+
+    def test_hashed_key_candidates_beyond_one_block_take_two_passes(self):
+        sketch, seen = _zipf_sketch("count_min_cu", None, seed=13)
+        extra = np.random.default_rng(13).integers(0, 2**62, SCAN_BLOCK)
+        candidates = np.unique(np.concatenate([seen, extra]))
+        rest = candidates.size - SCAN_BLOCK
+        expected = reference.heavy_hitters(sketch, phi=0.001,
+                                           candidates=candidates)
+        calls = _counted(sketch)
+        assert _bits(_heavy_hitters(sketch, phi=0.001,
+                                    candidates=candidates)) == _bits(expected)
+        assert calls == [SCAN_BLOCK, rest] * 2

@@ -33,6 +33,18 @@ class TestLogCounterArithmetic:
         with pytest.raises(ValueError):
             sketch.value_to_counter(-1.0)
 
+    def test_batch_decodes_a_counter_exactly_as_query(self):
+        """(base^5 - 1)/(base - 1) through np.power read 5.002500625077672.
+
+        The subtraction magnifies np.power's last-ulp rounding, so a batched
+        answer used to differ from the scalar one for the same key.
+        """
+        state = CountMinLogCU(100, 16, 3, seed=1).state_dict()
+        state["arrays"]["table"][:] = 5.0
+        sketch = CountMinLogCU.from_state(state)
+        assert sketch.query(3) == 5.00250062507856
+        assert sketch.query_batch([3, 4]).tolist() == [5.00250062507856] * 2
+
 
 class TestCountMinLogEstimation:
     def test_estimates_close_to_truth_with_paper_base(self, rng):

@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core import L1BiasAwareSketch, L2BiasAwareSketch
+from repro.hashing.families import hash_family, hash_matrix
+from repro.hashing.signs import sign_family, sign_matrix
 from repro.sketches._tables import HashedCounterTable
 from repro.sketches.count_median import CountMedian
+from repro.sketches.count_sketch import CountSketch
+from repro.utils.rng import derive_seed
 
 
 class TestColumnSumSharing:
@@ -71,3 +75,45 @@ class TestColumnSumSharing:
         assert sketch._table._cached_column_sums is None
         sketch.query(0)
         assert sketch._table._cached_column_sums is not None
+
+
+class TestHashFamilySharing:
+    """An integer seed's hash and sign families are drawn once per process."""
+
+    def test_copies_and_replicas_share_the_families(self):
+        original = CountSketch(2_000, 64, 5, seed=42)
+        original.update(3, 10.0)
+        for replica in (original.copy(),
+                        CountSketch.from_bytes(original.to_bytes())):
+            assert replica._table.hashes is original._table.hashes
+            assert replica._table.signs is original._table.signs
+
+    def test_generator_seeded_tables_draw_fresh_families(self):
+        tables = [
+            HashedCounterTable(500, 16, 3, signed=True,
+                               seed=np.random.default_rng(5))
+            for _ in range(2)
+        ]
+        assert tables[0].hashes is not tables[1].hashes
+        assert tables[0].signs is not tables[1].signs
+        # drawn hashes first, then signs, from equal generators
+        keys = np.arange(500)
+        np.testing.assert_array_equal(tables[0].bucket_columns(keys),
+                                      tables[1].bucket_columns(keys))
+        np.testing.assert_array_equal(tables[0].sign_columns(keys),
+                                      tables[1].sign_columns(keys))
+
+    def test_a_restored_table_addresses_keys_as_freshly_drawn_families(self):
+        seed = 77
+        original = CountSketch(3 * 2**16, 64, 5, seed=seed)
+        restored = CountSketch.from_bytes(original.to_bytes())._table
+        hashes = hash_family(5, 64, seed=derive_seed(seed, 101))
+        signs = sign_family(5, seed=derive_seed(seed, 202))
+        # hot keys come from the block cache, cold ones from the families
+        keys = np.arange(0, 3 * 2**16, 97)
+        np.testing.assert_array_equal(restored.bucket_columns(keys),
+                                      hash_matrix(hashes, keys))
+        np.testing.assert_array_equal(restored.sign_columns(keys),
+                                      sign_matrix(signs, keys))
+        assert restored.bucket_column(3 * 2**16 - 1).tolist() == \
+            [h(3 * 2**16 - 1) for h in hashes]
