@@ -12,8 +12,11 @@ The benchmark replays the scaled-down Hudong edge stream both ways for the
 linear reference sketches and records wall-clock speedup plus the phase
 breakdown (split / worker / fold) from the ingest report.  Pool spawn is
 excluded from the timed region (that is the engine's contract: spawn once,
-ingest many times) and a warm-up ingest precedes the measurement so page
-faults and lazy hash-table construction are off the clock.
+ingest many times) and a warm-up ingest of the same updates precedes the
+measurement, so the staging segment is already sized and page faults and
+lazy hash-table construction are off the clock.  The warm-up's own wall
+time is reported as ``cold_s`` (not gated): the cost of a fresh pool's
+first call.
 
 Speedup > 1.0 is enforced whenever the machine has ≥ 2 usable cores — in
 smoke mode too, which is what the CI shard-smoke job runs.  The correctness
@@ -99,15 +102,16 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
                 algorithm, DIMENSION, WIDTH, DEPTH, seed=17,
                 workers=workers, batch_size=BATCH_SIZE,
             ) as pool:
-                # warm-up: touch every page and build the workers' hash
-                # tables off the clock (spawn cost is likewise excluded —
-                # a pool is spawned once and reused across ingests)
+                # warm-up: the same updates into a throwaway target, so the
+                # staging segment grows to size, every page is touched and
+                # the workers' hash tables are built off the clock (spawn
+                # cost is likewise excluded — a pool is spawned once and
+                # reused across ingests)
                 warmup = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
                                       depth=DEPTH, seed=17).build()
-                pool.ingest(
-                    indices[:BATCH_SIZE], deltas[:BATCH_SIZE],
-                    target=warmup, shards=shards,
-                )
+                start = time.perf_counter()
+                pool.ingest(indices, deltas, target=warmup, shards=shards)
+                cold_seconds = time.perf_counter() - start
 
                 target = SketchConfig(algorithm, dimension=DIMENSION, width=WIDTH,
                                       depth=DEPTH, seed=17).build()
@@ -126,8 +130,8 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
             if shards == 4:
                 efficiency_at_4[algorithm] = speedup / min(4, CORES)
             rows.append((
-                algorithm, shards, workers, single_seconds, pool_seconds,
-                speedup, report.split_seconds,
+                algorithm, shards, workers, single_seconds, cold_seconds,
+                pool_seconds, speedup, report.split_seconds,
                 max(report.worker_seconds, default=0.0),
                 report.fold_seconds, identical,
             ))
@@ -143,7 +147,7 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
     if CORES >= 2:
         best = {}
         for row in rows:
-            algorithm, speedup = row[0], row[5]
+            algorithm, speedup = row[0], row[6]
             best[algorithm] = max(best.get(algorithm, 0.0), speedup)
         for algorithm, speedup in best.items():
             assert speedup > SPEEDUP_BAR, (
@@ -167,20 +171,23 @@ def test_sharded_ingestion_speedup_and_equivalence(fig6_stream):
         "shared updates segment into per-worker shared-memory counter",
         "blocks; the parent folds the blocks with vectorized += (no pickling",
         "either direction; pool spawn excluded — spawn once, ingest many).",
-        "split/worker/fold is the phase breakdown from the ingest report;",
-        "worker_s is the slowest worker (they run concurrently).  speedup >1",
-        "requires >=2 usable cores; on a 1-core machine the pooled path",
-        "measures pure staging + descriptor + fold overhead.",
+        "cold_s is the pool's first call on the same updates (staging",
+        "segment grown, pages faulted; reported, not gated); pool_s and",
+        "speedup time the second call.  split/worker/fold is its phase",
+        "breakdown from the ingest report; worker_s is the slowest worker",
+        "(they run concurrently).  speedup >1 requires >=2 usable cores; on",
+        "a 1-core machine the pooled path measures pure staging +",
+        "descriptor + fold overhead.",
         "",
         f"{'algorithm':<14} {'shards':>7} {'workers':>8} {'single_s':>10} "
-        f"{'pool_s':>8} {'speedup':>9} {'split_s':>8} {'worker_s':>9} "
-        f"{'fold_s':>7} {'identical':>10}",
+        f"{'cold_s':>8} {'pool_s':>8} {'speedup':>9} {'split_s':>8} "
+        f"{'worker_s':>9} {'fold_s':>7} {'identical':>10}",
     ]
-    for (algorithm, shards, workers, single_s, pool_s, speedup,
+    for (algorithm, shards, workers, single_s, cold_s, pool_s, speedup,
          split_s, worker_s, fold_s, identical) in rows:
         lines.append(
             f"{algorithm:<14} {shards:>7d} {workers:>8d} {single_s:>10.3f} "
-            f"{pool_s:>8.3f} {speedup:>8.2f}x {split_s:>8.3f} "
+            f"{cold_s:>8.3f} {pool_s:>8.3f} {speedup:>8.2f}x {split_s:>8.3f} "
             f"{worker_s:>9.3f} {fold_s:>7.3f} {str(identical):>10}"
         )
     for algorithm, efficiency in efficiency_at_4.items():

@@ -90,7 +90,7 @@ class StreamingL2BiasAwareSketch(L2BiasAwareSketch):
         # restored sketch answers from the same middle set as the serialized
         # one, including payloads whose older heap broke ties differently
         meta = super()._state_meta()
-        meta["heap_locations"] = [int(v) for v in self._bias_heap.locations]
+        meta["heap_locations"] = self._bias_heap.locations.tolist()
         return meta
 
     def _load_state_payload(self, arrays, scalars, meta) -> None:

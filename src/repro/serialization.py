@@ -235,6 +235,10 @@ def _json_safe(value: Any, context: str) -> Any:
     if isinstance(value, (float, np.floating)):
         return float(value)
     if isinstance(value, (list, tuple)):
+        # a list of plain ints (a ``tolist()`` of an integer array, say) is
+        # already JSON-safe; anything else is validated item by item
+        if set(map(type, value)) <= {int}:
+            return list(value)
         return [_json_safe(v, context) for v in value]
     if isinstance(value, dict):
         return {str(k): _json_safe(v, context) for k, v in value.items()}

@@ -112,10 +112,13 @@ def flat_cells(columns: np.ndarray, width: int) -> np.ndarray:
 
     Cell ids live in ``[0, depth·width)``; within one run (one column of the
     matrix) the ids are distinct because the rows occupy disjoint ranges.
+    The result is F-ordered, so each run's cells are adjacent in memory:
+    :func:`segment_bounds` reads the run-major stream without a copy and
+    every segment ``cells[:, s:e]`` is one contiguous block.
     """
     depth = columns.shape[0]
     offsets = (np.arange(depth, dtype=np.int64) * width)[:, None]
-    return columns + offsets
+    return np.add(columns, offsets, order="F")
 
 
 def segment_bounds(cells: np.ndarray, table_cells: int) -> list:

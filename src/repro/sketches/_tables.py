@@ -14,7 +14,14 @@ regardless of the universe size — ``dimension`` may even be ``None``
 (hashed-key mode), in which case any non-negative 64-bit integer is a valid
 key.  A small block cache keeps the assignments of the hottest (lowest) keys
 materialised, which restores the one-gather fast path for the dense small
-universes the evaluation harness sweeps.
+universes the evaluation harness sweeps.  Every batch of bucket or sign
+columns comes back C-ordered, whichever path served it: hot keys by one
+``take`` along the key axis of the cache, cold keys by ``hash_matrix``, and a
+mixed batch filled into one ``np.empty``.  So ``add_batch`` ravels its flat
+cells and weights, and the read kernel takes at its cells, without a copy;
+plain ``cache[:, keys]`` fancy indexing would return an F-ordered array that
+both copy again.  (The conservative-update engine reads its cells run by
+run and asks for F order itself, in ``_cu_batch.flat_cells``.)
 
 Data-independent structure that *is* O(width) — the per-bucket coordinate
 counts π / sign sums ψ needed by the bias-aware recovery — is computed by a
@@ -238,20 +245,24 @@ class HashedCounterTable:
 
     def _gather(self, indices: np.ndarray, cache_name: str, evaluate,
                 dtype) -> np.ndarray:
-        """Serve a batch of keys from the hot cache, ``evaluate``, or both."""
+        """Serve a batch of keys from the hot cache, ``evaluate``, or both.
+
+        The result is a C-ordered ``(depth, len(indices))`` array on every
+        path.
+        """
         indices = self._checked_keys(indices)
         if indices.size == 0:
             return np.empty((self.depth, 0), dtype=dtype)
         cold = indices >= self._cache_limit
         if not cold.any():
             self._ensure_hot_cache()
-            return getattr(self, cache_name)[:, indices]
+            return getattr(self, cache_name).take(indices, axis=1)
         if cold.all():
             return evaluate(indices)
         self._ensure_hot_cache()
         out = np.empty((self.depth, indices.size), dtype=dtype)
         hot = ~cold
-        out[:, hot] = getattr(self, cache_name)[:, indices[hot]]
+        out[:, hot] = getattr(self, cache_name).take(indices[hot], axis=1)
         out[:, cold] = evaluate(indices[cold])
         return out
 
@@ -393,10 +404,7 @@ class HashedCounterTable:
             cells = self.bucket_column(keys) + self._row_offsets[:, 0]
             signs = self.sign_column(keys) if self.signed else None
         else:
-            # C order: ``take`` copies an index array that is not C-ordered,
-            # and hot-key bucket columns arrive F-ordered
-            cells = np.add(self.bucket_columns(keys), self._row_offsets,
-                           order="C")
+            cells = self.bucket_columns(keys) + self._row_offsets
             signs = self.sign_columns(keys) if self.signed else None
         values = [array.take(cells) for array in (self.table, *per_bucket)]
         return values if signs is None else values + [signs]

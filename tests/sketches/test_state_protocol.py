@@ -73,6 +73,35 @@ class TestWireFraming:
         assert sketch_from_bytes(payload).to_bytes() == payload
 
 
+class TestHeaderValues:
+    """``_json_safe`` passes a list of plain ints through in one step and
+    still normalises or rejects every other item type."""
+
+    def test_plain_ints_come_back_as_an_equal_list(self):
+        assert serialization._json_safe([3, 0, 2], "meta") == [3, 0, 2]
+        assert serialization._json_safe((1, 2), "meta") == [1, 2]
+        assert serialization._json_safe([], "meta") == []
+
+    def test_a_bool_stays_a_bool(self):
+        value = serialization._json_safe([1, True, 0], "meta")
+        assert value == [1, True, 0]
+        assert [type(v) for v in value] == [int, bool, int]
+
+    def test_a_numpy_integer_becomes_a_plain_int(self):
+        value = serialization._json_safe([1, np.int64(7)], "meta")
+        assert value == [1, 7]
+        assert [type(v) for v in value] == [int, int]
+
+    def test_a_float_stays_a_float(self):
+        value = serialization._json_safe([1, 2.5, np.float32(0.5)], "meta")
+        assert value == [1, 2.5, 0.5]
+        assert [type(v) for v in value] == [int, float, float]
+
+    def test_an_unserialisable_item_is_rejected(self):
+        with pytest.raises(SerializationError, match="object"):
+            serialization._json_safe([1, object()], "meta")
+
+
 class TestStateDictContract:
     def test_state_dict_has_fixed_keys(self):
         state = small_sketch().state_dict()
