@@ -294,6 +294,19 @@ class TestCapabilityGating:
         assert point_only_session.query(kind="point", index=3) == 2.0
         assert point_only_session.supports("point")
 
+    def test_batch_ingest_applies_every_update(self, point_only_session):
+        # a kind with no counter tables ingests a batch by replaying its
+        # own scalar update
+        indices = np.array([3, 7, 3, 49, 0, 7], dtype=np.int64)
+        deltas = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        point_only_session.ingest(indices, deltas)
+        expected = np.zeros(50)
+        np.add.at(expected, indices, deltas)
+        got = [point_only_session.query(kind="point", index=index)
+               for index in range(50)]
+        assert got == expected.tolist()
+        assert point_only_session.items_processed == indices.size
+
     @pytest.mark.parametrize("kind,params", [
         ("heavy_hitters", {"threshold": 1.0}),
         ("range", {"low": 0, "high": 5}),

@@ -1,9 +1,12 @@
 """Unit tests for the streaming variants (Section 4.4, Algorithm 6)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    BiasHeap,
     L1BiasAwareSketch,
     L2BiasAwareSketch,
     StreamingL1BiasAwareSketch,
@@ -108,3 +111,84 @@ class TestStreamingL2:
             if step % 500 == 499:
                 queried = streaming.query(index)
                 assert queried == pytest.approx(truth[index], abs=10.0)
+
+
+class TestBiasHeapWork:
+    """How many Bias-Heaps each path of ``l2_sr_streaming`` builds.
+
+    A restore or a ``copy()`` builds the empty heap of ``__init__`` and then
+    restores the recorded partition from ``heap_locations``; every bulk path
+    rebuilds the heap once; a scalar update moves one bucket's rank and
+    builds nothing.
+    """
+
+    DIMENSION = 400
+
+    @pytest.fixture
+    def heap_builds(self, monkeypatch):
+        """The kind of every ``BiasHeap`` construction, in call order."""
+        builds = []
+        original = BiasHeap.__init__
+        signature = inspect.signature(original)
+
+        def counting(heap, *args, **kwargs):
+            bound = signature.bind(heap, *args, **kwargs).arguments
+            if bound.get("initial_locations") is not None:
+                builds.append("restore")
+            elif bound.get("initial_w") is not None:
+                builds.append("rebuild")
+            else:
+                builds.append("empty")
+            original(heap, *args, **kwargs)
+
+        monkeypatch.setattr(BiasHeap, "__init__", counting)
+        return builds
+
+    def _sketch(self, rng, seed=7):
+        sketch = StreamingL2BiasAwareSketch(self.DIMENSION, 32, 3, seed=seed)
+        return sketch.fit(rng.normal(20.0, 3.0, size=self.DIMENSION))
+
+    def test_restore_and_copy_restore_the_recorded_partition(
+        self, rng, heap_builds
+    ):
+        sketch = self._sketch(rng)
+        payload = sketch.to_bytes()
+        heap_builds.clear()
+        StreamingL2BiasAwareSketch.from_bytes(payload)
+        assert heap_builds == ["empty", "restore"]
+        heap_builds.clear()
+        sketch.copy()
+        assert heap_builds == ["empty", "restore"]
+
+    @pytest.mark.parametrize("path", [
+        "update_batch", "fit", "merge", "scale", "fold_state",
+        "bind_state_buffers",
+    ])
+    def test_every_bulk_path_rebuilds_once(self, rng, heap_builds, path):
+        sketch = self._sketch(rng)
+        peer = self._sketch(rng)
+        state = peer.state_dict()
+        heap_builds.clear()
+        if path == "update_batch":
+            sketch.update_batch(rng.integers(0, self.DIMENSION, size=50))
+        elif path == "fit":
+            sketch.fit(rng.normal(20.0, 3.0, size=self.DIMENSION))
+        elif path == "merge":
+            sketch.merge(peer)
+        elif path == "scale":
+            sketch.scale(0.5)
+        elif path == "fold_state":
+            sketch.fold_state(state["arrays"], state["scalars"],
+                              state["meta"]["items_processed"])
+        else:
+            sketch.bind_state_buffers({
+                field: np.zeros(shape)
+                for field, shape in sketch.shared_state_layout()
+            })
+        assert heap_builds == ["rebuild"]
+
+    def test_a_scalar_update_builds_no_heap(self, rng, heap_builds):
+        sketch = self._sketch(rng)
+        heap_builds.clear()
+        sketch.update(3, 2.5)
+        assert heap_builds == []
