@@ -129,47 +129,6 @@ class SamplingMedianEstimator(BiasEstimator):
             for slot in self._slots_of[int(index)]:
                 self.sample_values[slot] += delta
 
-    def merge(self, other: "SamplingMedianEstimator") -> None:
-        """Merge another estimator built with the same seed (adds sample values)."""
-        if not np.array_equal(self.sampled_indices, other.sampled_indices):
-            raise ValueError(
-                "cannot merge sampling estimators with different sampled indices"
-            )
-        self.sample_values += other.sample_values
-
-    def scale(self, factor: float) -> None:
-        """Scale the maintained sample values (linearity of Υx)."""
-        self.sample_values *= factor
-
-    def load_sample_values(self, values) -> None:
-        """Replace the maintained sample values with a restored snapshot."""
-        arr = np.array(values, dtype=np.float64)
-        if arr.shape != (self.samples,):
-            raise ValueError(
-                f"restored sample values have shape {arr.shape}, expected "
-                f"({self.samples},)"
-            )
-        self.sample_values = arr
-
-    def bind_sample_buffer(self, buffer: np.ndarray) -> None:
-        """Rebind the sample values to a caller-owned buffer (copy-in).
-
-        Shared-memory counterpart of :meth:`load_sample_values`: the current
-        values are copied into ``buffer`` and it becomes the live storage,
-        so in-place updates write through (see
-        :meth:`repro.sketches._tables.HashedCounterTable.bind_buffer`).
-        """
-        if not isinstance(buffer, np.ndarray):
-            raise TypeError("bind_sample_buffer expects a numpy array view")
-        if buffer.shape != (self.samples,):
-            raise ValueError(
-                f"buffer has shape {buffer.shape}, expected ({self.samples},)"
-            )
-        if buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
-            raise ValueError("buffer must be C-contiguous float64")
-        buffer[...] = self.sample_values
-        self.sample_values = buffer
-
     def current_estimate(self) -> float:
         """The bias estimate from the currently maintained sample values."""
         return float(np.median(self.sample_values))
@@ -275,16 +234,6 @@ class MeanEstimator(BiasEstimator):
         """Apply a batch of updates to the running sum in one reduction."""
         if len(deltas):
             self._running_sum += float(np.sum(deltas))
-
-    def merge(self, other: "MeanEstimator") -> None:
-        """Add another estimator's running sum (linearity)."""
-        if other.dimension != self.dimension:
-            raise ValueError("cannot merge mean estimators of different dimensions")
-        self._running_sum += other._running_sum
-
-    def scale(self, factor: float) -> None:
-        """Scale the running sum (linearity)."""
-        self._running_sum *= factor
 
     def current_estimate(self) -> float:
         """The bias estimate from the running sum."""

@@ -55,6 +55,9 @@ class L1BiasAwareSketch(LinearSketch):
 
     name = "l1_sr"
 
+    #: the sampled coordinates S = Υx, serialized as the ``samples`` array
+    _side_arrays = {"samples": "sample_values"}
+
     def __init__(
         self,
         dimension: int,
@@ -73,40 +76,17 @@ class L1BiasAwareSketch(LinearSketch):
         self._table = HashedCounterTable(
             dimension, width, depth, signed=False, seed=seed
         )
+        self._tables = {"table": self._table}
         if bias_samples is None:
             bias_samples = width
         self._bias_estimator = SamplingMedianEstimator(
             dimension, bias_samples, seed=derive_seed(seed, 404)
         )
+        self._side_state = self._bias_estimator
 
     @property
     def _pi(self) -> np.ndarray:
         return self._table.cached_column_sums()
-
-    # ------------------------------------------------------------------ #
-    # ingestion
-    # ------------------------------------------------------------------ #
-    def update(self, index: int, delta: float = 1.0) -> None:
-        index = self._check_index(index)
-        delta = float(delta)
-        self._table.add_update(index, delta)
-        self._bias_estimator.update(index, delta)
-        self._items_processed += 1
-
-    def update_batch(self, indices, deltas=None) -> "L1BiasAwareSketch":
-        """Vectorised batch ingestion: scatter-add plus the sampled coordinates."""
-        idx, d = self._check_batch(indices, deltas)
-        self._table.add_batch(idx, d)
-        self._bias_estimator.update_batch(idx, d)
-        self._items_processed += idx.size
-        return self
-
-    def fit(self, x) -> "L1BiasAwareSketch":
-        arr = self._check_vector(x)
-        self._table.add_vector(arr)
-        self._bias_estimator.ingest_vector(arr)
-        self._items_processed += int(np.count_nonzero(arr))
-        return self
 
     # ------------------------------------------------------------------ #
     # recovery
@@ -115,14 +95,6 @@ class L1BiasAwareSketch(LinearSketch):
         """β̂: the median of the maintained sampled coordinates (Alg. 2, line 1)."""
         return self._bias_estimator.current_estimate()
 
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        return float(self._estimate(index))
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        return self._estimate(idx)
-
     def _estimate(self, keys) -> np.ndarray:
         """Algorithm 2's recovery of one validated key or a batch of them."""
         beta = self.estimate_bias()
@@ -130,33 +102,14 @@ class L1BiasAwareSketch(LinearSketch):
         return median_over_rows(counters - beta * pi) + beta
 
     # ------------------------------------------------------------------ #
-    # linearity
+    # configuration
     # ------------------------------------------------------------------ #
-    def merge(self, other: "L1BiasAwareSketch") -> "L1BiasAwareSketch":
-        self._check_compatible(other)
-        self._table.merge_from(other._table)
-        self._bias_estimator.merge(other._bias_estimator)
-        self._items_processed += other._items_processed
-        return self
-
-    def scale(self, factor: float) -> "L1BiasAwareSketch":
-        factor = float(factor)
-        self._table.scale_by(factor)
-        self._bias_estimator.scale(factor)
-        return self
-
     def _check_compatible(self, other: "L1BiasAwareSketch") -> None:
         super()._check_compatible(other)
         if other._bias_estimator.samples != self._bias_estimator.samples:
             raise ValueError(
                 "sketches must use the same number of bias samples to be merged"
             )
-
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-    # ------------------------------------------------------------------ #
-    def size_in_words(self) -> int:
-        return self._table.counter_count + self._bias_estimator.size_in_words()
 
     def _config_dict(self):
         config = super()._config_dict()
@@ -168,26 +121,6 @@ class L1BiasAwareSketch(LinearSketch):
         return cls(config["dimension"], config["width"], config["depth"],
                    bias_samples=config.get("bias_samples"),
                    seed=config.get("seed"))
-
-    def _state_arrays(self):
-        return {
-            "table": self._table.table,
-            "samples": self._bias_estimator.sample_values,
-        }
-
-    def bind_state_buffers(self, buffers) -> None:
-        self._table.bind_buffer(buffers["table"])
-        self._bias_estimator.bind_sample_buffer(buffers["samples"])
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        self._table.load_table(arrays["table"])
-        self._bias_estimator.load_sample_values(arrays["samples"])
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` Count-Median counter table (for inspection)."""
-        return self._table.table
 
     @property
     def sample_values(self) -> np.ndarray:

@@ -89,6 +89,7 @@ class L2BiasAwareSketch(LinearSketch):
         self._bias_row = HashedCounterTable(
             dimension, width, 1, signed=False, seed=derive_seed(seed, 505)
         )
+        self._tables = {"table": self._cs_table, "bias_row": self._bias_row}
         self._bias_estimator = MiddleBucketsMeanEstimator(self.head_size)
 
     @property
@@ -100,31 +101,6 @@ class L2BiasAwareSketch(LinearSketch):
         return self._bias_row.cached_column_sums()[0]
 
     # ------------------------------------------------------------------ #
-    # ingestion
-    # ------------------------------------------------------------------ #
-    def update(self, index: int, delta: float = 1.0) -> None:
-        index = self._check_index(index)
-        delta = float(delta)
-        self._cs_table.add_update(index, delta)
-        self._bias_row.add_update(index, delta)
-        self._items_processed += 1
-
-    def update_batch(self, indices, deltas=None) -> "L2BiasAwareSketch":
-        """Vectorised batch ingestion: one scatter-add per table per chunk."""
-        idx, d = self._check_batch(indices, deltas)
-        self._cs_table.add_batch(idx, d)
-        self._bias_row.add_batch(idx, d)
-        self._items_processed += idx.size
-        return self
-
-    def fit(self, x) -> "L2BiasAwareSketch":
-        arr = self._check_vector(x)
-        self._cs_table.add_vector(arr)
-        self._bias_row.add_vector(arr)
-        self._items_processed += int(np.count_nonzero(arr))
-        return self
-
-    # ------------------------------------------------------------------ #
     # recovery
     # ------------------------------------------------------------------ #
     def estimate_bias(self) -> float:
@@ -133,14 +109,6 @@ class L2BiasAwareSketch(LinearSketch):
             self._bias_row.table[0], self._pi_g
         )
 
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        return float(self._estimate(index))
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        return self._estimate(idx)
-
     def _estimate(self, keys) -> np.ndarray:
         """Algorithm 4's recovery of one validated key or a batch of them."""
         beta = self.estimate_bias()
@@ -148,33 +116,14 @@ class L2BiasAwareSketch(LinearSketch):
         return median_over_rows((counters - beta * psi) * signs) + beta
 
     # ------------------------------------------------------------------ #
-    # linearity
+    # configuration
     # ------------------------------------------------------------------ #
-    def merge(self, other: "L2BiasAwareSketch") -> "L2BiasAwareSketch":
-        self._check_compatible(other)
-        self._cs_table.merge_from(other._cs_table)
-        self._bias_row.merge_from(other._bias_row)
-        self._items_processed += other._items_processed
-        return self
-
-    def scale(self, factor: float) -> "L2BiasAwareSketch":
-        factor = float(factor)
-        self._cs_table.scale_by(factor)
-        self._bias_row.scale_by(factor)
-        return self
-
     def _check_compatible(self, other: "L2BiasAwareSketch") -> None:
         super()._check_compatible(other)
         if other.head_size != self.head_size:
             raise ValueError(
                 "sketches must use the same head_size (k) to be merged"
             )
-
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-    # ------------------------------------------------------------------ #
-    def size_in_words(self) -> int:
-        return self._cs_table.counter_count + self._bias_row.counter_count
 
     def _config_dict(self):
         config = super()._config_dict()
@@ -185,26 +134,6 @@ class L2BiasAwareSketch(LinearSketch):
     def _from_config(cls, config):
         return cls(config["dimension"], config["width"], config["depth"],
                    head_size=config.get("head_size"), seed=config.get("seed"))
-
-    def _state_arrays(self):
-        return {
-            "table": self._cs_table.table,
-            "bias_row": self._bias_row.table,
-        }
-
-    def bind_state_buffers(self, buffers) -> None:
-        self._cs_table.bind_buffer(buffers["table"])
-        self._bias_row.bind_buffer(buffers["bias_row"])
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        self._cs_table.load_table(arrays["table"])
-        self._bias_row.load_table(arrays["bias_row"])
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` Count-Sketch counter table (for inspection)."""
-        return self._cs_table.table
 
     @property
     def bias_buckets(self) -> np.ndarray:

@@ -38,6 +38,9 @@ class MeanBiasSketch(LinearSketch):
 
     name = "mean_bias"
 
+    #: the running sum of the vector, serialized as the ``running_sum`` scalar
+    _side_scalars = {"running_sum": "_running_sum"}
+
     def __init__(
         self,
         dimension: int,
@@ -57,36 +60,13 @@ class MeanBiasSketch(LinearSketch):
         self._table = HashedCounterTable(
             dimension, width, depth, signed=self.signed, seed=seed
         )
+        self._tables = {"table": self._table}
         self._bias_estimator = MeanEstimator(dimension)
+        self._side_state = self._bias_estimator
 
     @property
     def _column_sums(self) -> np.ndarray:
         return self._table.cached_column_sums()
-
-    # ------------------------------------------------------------------ #
-    # ingestion
-    # ------------------------------------------------------------------ #
-    def update(self, index: int, delta: float = 1.0) -> None:
-        index = self._check_index(index)
-        delta = float(delta)
-        self._table.add_update(index, delta)
-        self._bias_estimator.update(index, delta)
-        self._items_processed += 1
-
-    def update_batch(self, indices, deltas=None) -> "MeanBiasSketch":
-        """Vectorised batch ingestion: scatter-add plus the running sum."""
-        idx, d = self._check_batch(indices, deltas)
-        self._table.add_batch(idx, d)
-        self._bias_estimator.update_batch(idx, d)
-        self._items_processed += idx.size
-        return self
-
-    def fit(self, x) -> "MeanBiasSketch":
-        arr = self._check_vector(x)
-        self._table.add_vector(arr)
-        self._bias_estimator.ingest_vector(arr)
-        self._items_processed += int(np.count_nonzero(arr))
-        return self
 
     # ------------------------------------------------------------------ #
     # recovery
@@ -94,14 +74,6 @@ class MeanBiasSketch(LinearSketch):
     def estimate_bias(self) -> float:
         """β̂ = (running sum) / n — the plain mean of all coordinates."""
         return self._bias_estimator.current_estimate()
-
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        return float(self._estimate(index))
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        return self._estimate(idx)
 
     def _estimate(self, keys) -> np.ndarray:
         """De-bias by the mean and median-combine one validated key or a batch."""
@@ -113,25 +85,12 @@ class MeanBiasSketch(LinearSketch):
         return median_over_rows(debiased) + beta
 
     # ------------------------------------------------------------------ #
-    # linearity
+    # configuration
     # ------------------------------------------------------------------ #
-    def merge(self, other: "MeanBiasSketch") -> "MeanBiasSketch":
-        self._check_compatible(other)
+    def _check_compatible(self, other: "MeanBiasSketch") -> None:
+        super()._check_compatible(other)
         if other.signed != self.signed:
             raise ValueError("cannot merge ℓ1-mean with ℓ2-mean sketches")
-        self._table.merge_from(other._table)
-        self._bias_estimator.merge(other._bias_estimator)
-        self._items_processed += other._items_processed
-        return self
-
-    def scale(self, factor: float) -> "MeanBiasSketch":
-        factor = float(factor)
-        self._table.scale_by(factor)
-        self._bias_estimator.scale(factor)
-        return self
-
-    def size_in_words(self) -> int:
-        return self._table.counter_count + self._bias_estimator.size_in_words()
 
     def _config_dict(self):
         config = super()._config_dict()
@@ -145,28 +104,6 @@ class MeanBiasSketch(LinearSketch):
                        bool(config.get("signed")), seed=config.get("seed"))
         return cls(config["dimension"], config["width"], config["depth"],
                    seed=config.get("seed"))
-
-    def _state_arrays(self):
-        return {"table": self._table.table}
-
-    def _state_scalars(self):
-        return {"running_sum": float(self._bias_estimator._running_sum)}
-
-    def bind_state_buffers(self, buffers) -> None:
-        self._table.bind_buffer(buffers["table"])
-
-    def _fold_scalars(self, scalars) -> None:
-        self._bias_estimator._running_sum += float(scalars["running_sum"])
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        self._table.load_table(arrays["table"])
-        self._bias_estimator._running_sum = float(scalars["running_sum"])
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` counter table (for inspection)."""
-        return self._table.table
 
 
 class L1MeanSketch(MeanBiasSketch):

@@ -84,50 +84,16 @@ class StreamingL1BiasAwareSketch(L1BiasAwareSketch):
             self._sorted_samples.replace(old, old + delta)
         super().update(index, delta)
 
-    def update_batch(self, indices, deltas=None) -> "StreamingL1BiasAwareSketch":
-        """Batched ingestion: vectorised updates, then one sorted-set rebuild.
+    def _post_fold(self, meta=None) -> None:
+        """Rebuild the sorted multiset from the samples after a bulk change.
 
-        Rebuilding the sorted multiset once per chunk costs ``O(t log t)`` and
-        yields exactly the structure the per-update replacements would have
-        maintained, so bias estimates agree with the scalar path.
+        Every bulk path (a batch, ``fit``, ``merge``, ``scale``, a pool
+        fold, a rebind, a restore) rebuilds it once, in ``O(t log t)``.
+        The multiset is canonical given the sample values, so it is exactly
+        the structure the per-update replacements would have maintained,
+        and a restored sketch answers bias queries bit-identically to the
+        one that was serialized.
         """
-        super().update_batch(indices, deltas)
-        self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
-        return self
-
-    def fit(self, x) -> "StreamingL1BiasAwareSketch":
-        super().fit(x)
-        # bulk ingestion: rebuild the sorted structure from the refreshed samples
-        self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
-        return self
-
-    def merge(self, other: "L1BiasAwareSketch") -> "StreamingL1BiasAwareSketch":
-        super().merge(other)
-        self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
-        return self
-
-    def scale(self, factor: float) -> "StreamingL1BiasAwareSketch":
-        super().scale(factor)
-        self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
-        return self
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        """Restore the base state, then rebuild the sorted-sample structure.
-
-        The sorted multiset is canonical given the sample values, so a
-        restored sketch answers bias queries bit-identically to the one that
-        was serialized.
-        """
-        super()._load_state_payload(arrays, scalars, meta)
-        self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
-
-    def bind_state_buffers(self, buffers) -> None:
-        super().bind_state_buffers(buffers)
-        self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
-
-    def _post_fold(self) -> None:
-        # a raw-state fold is a bulk ingestion: rebuild the sorted mirror,
-        # exactly as merge() does
         self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
 
     def estimate_bias(self) -> float:

@@ -58,33 +58,6 @@ class StreamingL2BiasAwareSketch(L2BiasAwareSketch):
         bucket = int(self._bias_row.bucket_column(index)[0])
         self._bias_heap.update(bucket, delta)
 
-    def update_batch(self, indices, deltas=None) -> "StreamingL2BiasAwareSketch":
-        """Batched ingestion: vectorised updates, then one heap rebuild.
-
-        The rebuild is one stable argsort of the bucket averages.  Its
-        partition is identical to what per-update maintenance would have
-        produced: both rank buckets under the same total order
-        ``(w/π, bucket)``, so the rebuild introduces no tie-break drift.
-        """
-        super().update_batch(indices, deltas)
-        self._rebuild_heap()
-        return self
-
-    def fit(self, x) -> "StreamingL2BiasAwareSketch":
-        super().fit(x)
-        self._rebuild_heap()
-        return self
-
-    def merge(self, other: "L2BiasAwareSketch") -> "StreamingL2BiasAwareSketch":
-        super().merge(other)
-        self._rebuild_heap()
-        return self
-
-    def scale(self, factor: float) -> "StreamingL2BiasAwareSketch":
-        super().scale(factor)
-        self._rebuild_heap()
-        return self
-
     def _state_meta(self):
         # the heap's bottom/middle/top membership is recorded so that a
         # restored sketch answers from the same middle set as the serialized
@@ -93,35 +66,27 @@ class StreamingL2BiasAwareSketch(L2BiasAwareSketch):
         meta["heap_locations"] = self._bias_heap.locations.tolist()
         return meta
 
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        if "heap_locations" in meta:
-            self._bias_heap = BiasHeap(
-                self._pi_g,
-                head_size=self.head_size,
-                initial_w=self._bias_row.table[0],
-                initial_locations=np.asarray(meta["heap_locations"], dtype=np.int8),
-            )
-        else:
-            self._rebuild_heap()
+    def _post_fold(self, meta=None) -> None:
+        """Rebuild the Bias-Heap from the bias row after a bulk change.
 
-    def _rebuild_heap(self) -> None:
-        """Rebuild the Bias-Heap from the current bias-row state (bulk paths)."""
+        The rebuild is one stable argsort of the bucket averages.  Its
+        partition is identical to what per-update maintenance would have
+        produced: both rank buckets under the same total order
+        ``(w/π, bucket)``, so the rebuild introduces no tie-break drift.
+        A restore whose payload records ``heap_locations`` restores that
+        partition instead (the heap copies ``w``, so it is rebuilt on a
+        rebind to shared buffers too).
+        """
+        locations = None if meta is None else meta.get("heap_locations")
         self._bias_heap = BiasHeap(
             self._pi_g,
             head_size=self.head_size,
             initial_w=self._bias_row.table[0],
+            initial_locations=(
+                None if locations is None
+                else np.asarray(locations, dtype=np.int8)
+            ),
         )
-
-    def bind_state_buffers(self, buffers) -> None:
-        super().bind_state_buffers(buffers)
-        # the heap snapshots w at construction; rebind it to the new storage
-        self._rebuild_heap()
-
-    def _post_fold(self) -> None:
-        # a raw-state fold is a bulk ingestion: rebuild the heap, exactly as
-        # merge() does
-        self._rebuild_heap()
 
     # ------------------------------------------------------------------ #
     # recovery

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.hashing.families import KWiseHash, hash_family, hash_matrix
 from repro.hashing.signs import SignHash, sign_family, sign_matrix
-from repro.sketches.base import SCAN_BLOCK
+from repro.sketches.base import SCAN_BLOCK, _bound_buffer
 from repro.utils.rng import RandomSource, derive_seed
 
 #: keys below this bound have their bucket/sign assignments cached (hot-key
@@ -484,17 +484,6 @@ class HashedCounterTable:
         return self._cached_column_sums
 
     # ------------------------------------------------------------------ #
-    # linear-algebra operations
-    # ------------------------------------------------------------------ #
-    def merge_from(self, other: "HashedCounterTable") -> None:
-        """Add another table's counters (caller checks hash compatibility)."""
-        self.table += other.table
-
-    def scale_by(self, factor: float) -> None:
-        """Multiply all counters by ``factor``."""
-        self.table *= factor
-
-    # ------------------------------------------------------------------ #
     # shared-memory support
     # ------------------------------------------------------------------ #
     def bind_buffer(self, buffer: np.ndarray) -> None:
@@ -505,34 +494,13 @@ class HashedCounterTable:
         :class:`SharedCounterBlock` — and becomes the table's live counter
         storage: the current counters are copied into it and every subsequent
         in-place mutation (:meth:`add_update`, :meth:`add_batch`,
-        :meth:`merge_from`, :meth:`scale_by`) writes through to it.  This is
-        what lets a worker process scatter-add directly into memory the
-        parent can fold without any serialization.
+        :meth:`add_vector`, and the owning sketch's ``merge``, ``scale`` and
+        ``fold_state``) writes through to it.  This is what lets a worker
+        process scatter-add directly into memory the parent can fold without
+        any serialization.  (A sketch binds all its state arrays at once
+        with ``LinearSketch.bind_state_buffers``.)
         """
-        if not isinstance(buffer, np.ndarray):
-            raise TypeError("bind_buffer expects a numpy array view")
-        if buffer.shape != (self.depth, self.width):
-            raise ValueError(
-                f"buffer has shape {buffer.shape}, expected "
-                f"({self.depth}, {self.width})"
-            )
-        if buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
-            raise ValueError("buffer must be C-contiguous float64")
-        buffer[...] = self.table
-        self.table = buffer
-
-    # ------------------------------------------------------------------ #
-    # state protocol support
-    # ------------------------------------------------------------------ #
-    def load_table(self, table) -> None:
-        """Replace the counters with a restored snapshot (shape-checked)."""
-        arr = np.array(table, dtype=np.float64)
-        if arr.shape != (self.depth, self.width):
-            raise ValueError(
-                f"restored table has shape {arr.shape}, expected "
-                f"({self.depth}, {self.width})"
-            )
-        self.table = arr
+        self.table = _bound_buffer(buffer, self.table)
 
     @property
     def counter_count(self) -> int:
@@ -608,9 +576,10 @@ class SharedCounterBlock:
     This is the storage layer of the zero-copy sharded-ingestion engine: the
     parent process *creates* one block per worker (owning the segment), each
     worker *attaches* to its block by name and binds its sketch's state
-    arrays to the views (:meth:`HashedCounterTable.bind_buffer`), scatter-adds
+    arrays to the views (``LinearSketch.bind_state_buffers``), scatter-adds
     land directly in shared memory, and the parent folds the views with
-    vectorized ``+=`` — no counter bytes ever cross a pipe.
+    vectorized ``+=`` (``LinearSketch.fold_state``) — no counter bytes ever
+    cross a pipe.
 
     Parameters are expressed as a *layout*: a sequence of
     ``(field_name, shape[, dtype])`` entries (dtype defaults to float64),

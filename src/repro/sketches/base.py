@@ -34,16 +34,32 @@ mutable state is an explicit, portable artifact.
 
 Data-independent structure (hash buckets, signs, sampled indices) is *not*
 part of the state: it is re-derived from the integer ``seed`` on restore,
-which keeps payloads at the size of the counters.  Subclasses participate by
-overriding the small hooks :meth:`Sketch._config_dict`,
-:meth:`Sketch._state_arrays`, :meth:`Sketch._state_scalars`,
-:meth:`Sketch._state_meta` and :meth:`Sketch._load_state_payload`.
+which keeps payloads at the size of the counters.
+
+**What a kind writes, and what is derived.**  A table sketch registers its
+:class:`~repro.sketches._tables.HashedCounterTable` instances in its
+constructor, in ``self._tables``, keyed by the state-array name each is
+serialized under.  A linear kind may add one *side state*
+(``self._side_state``): the ℓ1 samples or a running sum, an object with
+``update``, ``update_batch``, ``ingest_vector`` and ``size_in_words``, whose
+state fields the kind names in ``_side_arrays`` and ``_side_scalars``.  From
+these, :class:`Sketch` derives the state protocol (``_state_arrays``,
+``_state_scalars``, ``_load_state_payload``), ``size_in_words``, ``table``,
+and ``query``/``query_batch``, which validate once and call the kind's
+``_estimate``.  :class:`LinearSketch` derives every ingest path,
+``bind_state_buffers``, ``fold_state``, ``merge`` (the compatibility check
+plus a fold of the peer's state) and ``scale``.  Every bulk path ends in
+the one :meth:`Sketch._post_fold` hook, where the streaming kinds rebuild
+their derived structures.  A kind keeps only its constructor, its
+``_estimate``, its config (:meth:`Sketch._config_dict`,
+:meth:`Sketch._from_config`) and compatibility extras, its uncounted
+bookkeeping (:meth:`Sketch._state_meta`) and its own arithmetic.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +83,26 @@ from repro.utils.validation import (
 #: evaluation in :mod:`repro.queries`); bounds transient memory at
 #: O(depth × block) regardless of the universe size
 SCAN_BLOCK = 1 << 16
+
+
+def _bound_buffer(buffer, live: np.ndarray) -> np.ndarray:
+    """``buffer``, checked to fit ``live`` and holding a copy of its values.
+
+    The buffer must be a C-contiguous float64 array of ``live``'s shape
+    (typically a view into a
+    :class:`~repro.sketches._tables.SharedCounterBlock`); the caller makes
+    it the live storage.
+    """
+    if not isinstance(buffer, np.ndarray):
+        raise TypeError("a state buffer must be a numpy array view")
+    if buffer.shape != live.shape:
+        raise ValueError(
+            f"buffer has shape {buffer.shape}, expected {live.shape}"
+        )
+    if buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
+        raise ValueError("buffer must be C-contiguous float64")
+    buffer[...] = live
+    return buffer
 
 
 class Sketch(StateProtocolMixin, abc.ABC):
@@ -101,6 +137,13 @@ class Sketch(StateProtocolMixin, abc.ABC):
     #: version so old snapshots fail loudly instead of silently misloading
     state_version = 1
 
+    #: the side state's float64 arrays, as ``{state-array name: attribute}``
+    #: (serialized after the tables' arrays, in this order)
+    _side_arrays: Dict[str, str] = {}
+
+    #: the side state's float scalars, as ``{scalar name: attribute}``
+    _side_scalars: Dict[str, str] = {}
+
     def __init__(
         self,
         dimension: Optional[int],
@@ -116,6 +159,12 @@ class Sketch(StateProtocolMixin, abc.ABC):
         self.depth = require_positive_int(depth, "depth")
         self.seed = seed
         self._items_processed = 0
+        #: the counter tables, keyed by the state-array name each is
+        #: serialized under; registered by each kind's constructor
+        self._tables: Dict[str, Any] = {}
+        #: state beside the tables that every ingest path also writes (see
+        #: the module docstring), or ``None``
+        self._side_state: Any = None
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -127,19 +176,20 @@ class Sketch(StateProtocolMixin, abc.ABC):
     def fit(self, x) -> "Sketch":
         """Ingest a whole frequency vector ``x`` (length ``dimension``).
 
-        The default implementation replays the non-zero coordinates as
-        individual updates; vectorised subclasses override it.
+        The default replays the non-zero coordinates in increasing index
+        order, each with its full weight, as one :meth:`update_batch`.  That
+        is the standard batch convention for the order-dependent
+        conservative-update kinds, and what the evaluation harness uses for
+        every algorithm so the comparison stays fair; their segmented batch
+        path makes the replay bit-identical to the scalar loop (the
+        coordinates are distinct and sorted).  Linear kinds with counter
+        tables override it with one vectorised pass over the vector.
         Returns ``self`` for chaining.
         """
         arr = self._check_vector(x)
-        for index in np.flatnonzero(arr):
-            self.update(int(index), float(arr[index]))
-        return self
-
-    def update_many(self, updates: Iterable[Tuple[int, float]]) -> "Sketch":
-        """Apply a sequence of ``(index, delta)`` updates in order."""
-        for index, delta in updates:
-            self.update(int(index), float(delta))
+        indices = np.flatnonzero(arr)
+        if indices.size:
+            self.update_batch(indices, arr[indices])
         return self
 
     def update_batch(self, indices, deltas=None) -> "Sketch":
@@ -169,19 +219,32 @@ class Sketch(StateProtocolMixin, abc.ABC):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def query(self, index: int) -> float:
         """Return the point-query estimate of coordinate ``index``."""
+        return float(self._estimate(self._check_index(index)))
 
     def query_batch(self, indices) -> np.ndarray:
         """Point-query a batch of coordinates; returns one estimate per index.
 
-        Equivalent to ``np.array([self.query(i) for i in indices])`` but
-        vectorised by subclasses so the evaluation harness can issue thousands
-        of queries per call.
+        Equivalent to ``np.array([self.query(i) for i in indices])``: the
+        batch is validated once and handed to the kind's estimator whole,
+        so the evaluation harness can run thousands of queries per call.
         """
         idx, _ = self._check_batch(indices, None)
-        return np.array([self.query(int(i)) for i in idx], dtype=np.float64)
+        return self._estimate(idx)
+
+    def _estimate(self, keys):
+        """The kind's estimation rule, for one validated key or a batch.
+
+        An ``int`` key gives one estimate; an index array gives an array of
+        estimates, one per key.  The default answers a batch key by key
+        through :meth:`query`, for kinds that define only that.
+        """
+        if isinstance(keys, int):
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither query nor _estimate"
+            )
+        return np.array([self.query(int(i)) for i in keys], dtype=np.float64)
 
     def recover(self) -> np.ndarray:
         """Return the full recovered vector ``x̂`` (one estimate per coordinate).
@@ -206,9 +269,22 @@ class Sketch(StateProtocolMixin, abc.ABC):
     # ------------------------------------------------------------------ #
     # bookkeeping
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def size_in_words(self) -> int:
         """Number of counter words the sketch stores (excluding O(d) hash seeds)."""
+        words = sum(table.counter_count for table in self._tables.values())
+        if self._side_state is not None:
+            words += self._side_state.size_in_words()
+        return words
+
+    @property
+    def table(self) -> np.ndarray:
+        """The raw ``(depth, width)`` counter table serialized as ``table``.
+
+        For inspection; the counters are read-mostly.
+        """
+        if "table" not in self._tables:
+            raise AttributeError(f"{type(self).__name__} has no counter table")
+        return self._tables["table"].table
 
     @property
     def items_processed(self) -> int:
@@ -286,21 +362,58 @@ class Sketch(StateProtocolMixin, abc.ABC):
         return cls(config["dimension"], config["width"], config["depth"],
                    seed=config.get("seed"))
 
-    def _state_arrays(self) -> Dict[str, np.ndarray]:
-        """The mutable state arrays (counted toward the word footprint)."""
-        return {}
-
-    def _state_scalars(self) -> Dict[str, float]:
-        """Scalar state counted toward the word footprint (e.g. ‖x‖₁)."""
-        return {}
-
     def _state_meta(self) -> Dict[str, Any]:
         """Uncounted JSON-able bookkeeping (e.g. RNG state)."""
         return {}
 
+    def _post_fold(self, meta: Optional[Dict[str, Any]] = None) -> None:
+        """Rebuild derived structures after a bulk change of the state (hook).
+
+        Every restore ends here, and so does every bulk path of a linear
+        kind: ``update_batch``, ``fit``, ``merge``, ``scale``,
+        ``fold_state`` and ``bind_state_buffers``; a scalar ``update`` does
+        not.  On a restore ``meta`` is the payload's bookkeeping, so a kind
+        whose payload records a derived structure can restore it instead of
+        rebuilding it.
+        """
+
+    # -- derived from the registered tables and side state --------------- #
+    def _array_slots(self) -> Dict[str, Tuple[Any, str]]:
+        """Where each state array lives: ``{name: (owner, attribute)}``."""
+        slots = {name: (table, "table") for name, table in self._tables.items()}
+        for name, attribute in self._side_arrays.items():
+            slots[name] = (self._side_state, attribute)
+        return slots
+
+    def _state_arrays(self) -> Dict[str, np.ndarray]:
+        """The mutable state arrays (counted toward the word footprint)."""
+        return {name: getattr(owner, attribute)
+                for name, (owner, attribute) in self._array_slots().items()}
+
+    def _state_scalars(self) -> Dict[str, float]:
+        """Scalar state counted toward the word footprint (e.g. ‖x‖₁)."""
+        return {name: float(getattr(self._side_state, attribute))
+                for name, attribute in self._side_scalars.items()}
+
+    def _set_state_scalars(self, scalars: Dict[str, float]) -> None:
+        """Overwrite the side state's scalars with ``scalars``' values."""
+        for name, attribute in self._side_scalars.items():
+            setattr(self._side_state, attribute, float(scalars[name]))
+
     def _load_state_payload(self, arrays, scalars, meta) -> None:
-        """Restore mutable state from a snapshot; subclasses extend."""
+        """Restore mutable state from a snapshot, then rebuild derived state."""
         self._items_processed = int(meta.get("items_processed", 0))
+        for name, (owner, attribute) in self._array_slots().items():
+            live = getattr(owner, attribute)
+            restored = np.array(arrays[name], dtype=np.float64)
+            if restored.shape != live.shape:
+                raise ValueError(
+                    f"restored {name} has shape {restored.shape}, "
+                    f"expected {live.shape}"
+                )
+            setattr(owner, attribute, restored)
+        self._set_state_scalars(scalars)
+        self._post_fold(meta)
 
     def _require_bounded(self, operation: str) -> None:
         if self.dimension is None:
@@ -335,20 +448,85 @@ class Sketch(StateProtocolMixin, abc.ABC):
 class LinearSketch(Sketch):
     """A sketch that is a linear function of the input vector.
 
-    Linearity gives two extra operations used by the distributed substrate:
+    Every state array and scalar of a linear kind is additive, so this class
+    writes the kind's registered tables, then its side state, on every path:
 
-    * :meth:`merge` — add the state of a compatible sketch (sketch of the sum
-      equals sum of the sketches);
-    * :meth:`scale` — multiply the state by a scalar (sketch of ``c·x``).
+    * :meth:`update`, :meth:`update_batch` and :meth:`fit` apply the same
+      update to every table and to the side state;
+    * :meth:`fold_state` adds a compatible sketch's raw state, and
+      :meth:`merge` is the compatibility check plus a fold of the peer's
+      state (sketch of the sum equals sum of the sketches);
+    * :meth:`scale` multiplies that same state (sketch of ``c·x``).
+
+    Each bulk path ends in :meth:`_post_fold`.  A linear kind without
+    counter tables defines :meth:`update`, :meth:`query`,
+    :meth:`size_in_words`, :meth:`merge` and :meth:`scale` itself; its
+    batches and dense vectors replay through its own :meth:`update`.
     """
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------ #
+    # ingestion
+    # ------------------------------------------------------------------ #
+    def update(self, index: int, delta: float = 1.0) -> None:
+        index = self._check_index(index)
+        delta = float(delta)
+        for table in self._tables.values():
+            table.add_update(index, delta)
+        if self._side_state is not None:
+            self._side_state.update(index, delta)
+        self._items_processed += 1
+
+    def update_batch(self, indices, deltas=None) -> "LinearSketch":
+        """Vectorised batch ingestion: one scatter-add per table per chunk.
+
+        The side state then takes the whole batch, and :meth:`_post_fold`
+        rebuilds any derived structure once.
+        """
+        if not self._tables:
+            return super().update_batch(indices, deltas)
+        idx, d = self._check_batch(indices, deltas)
+        for table in self._tables.values():
+            table.add_batch(idx, d)
+        if self._side_state is not None:
+            self._side_state.update_batch(idx, d)
+        self._items_processed += idx.size
+        self._post_fold()
+        return self
+
+    def fit(self, x) -> "LinearSketch":
+        if not self._tables:
+            return super().fit(x)
+        arr = self._check_vector(x)
+        for table in self._tables.values():
+            table.add_vector(arr)
+        if self._side_state is not None:
+            self._side_state.ingest_vector(arr)
+        self._items_processed += int(np.count_nonzero(arr))
+        self._post_fold()
+        return self
+
+    # ------------------------------------------------------------------ #
+    # linearity
+    # ------------------------------------------------------------------ #
     def merge(self, other: "LinearSketch") -> "LinearSketch":
         """Add ``other``'s state into this sketch in place and return ``self``."""
+        self._check_compatible(other)
+        return self.fold_state(
+            other._state_arrays(), other._state_scalars(),
+            other._items_processed,
+        )
 
-    @abc.abstractmethod
     def scale(self, factor: float) -> "LinearSketch":
         """Scale the sketch state in place by ``factor`` and return ``self``."""
+        factor = float(factor)
+        for array in self._state_arrays().values():
+            array *= factor
+        self._set_state_scalars({
+            name: value * factor
+            for name, value in self._state_scalars().items()
+        })
+        self._post_fold()
+        return self
 
     # ------------------------------------------------------------------ #
     # shared-memory fold protocol (zero-copy sharded ingestion)
@@ -375,13 +553,12 @@ class LinearSketch(Sketch):
         all in-place mutation (``update_batch``, ``merge``, ``scale``)
         writes through to the buffers, which is what lets a sharded-ingest
         worker scatter-add directly into memory the parent folds without
-        serialization.  Subclasses with array state must override.
+        serialization.
         """
-        if self._state_arrays():
-            raise NotImplementedError(
-                f"{type(self).__name__} has state arrays but does not "
-                "implement bind_state_buffers"
-            )
+        for name, (owner, attribute) in self._array_slots().items():
+            live = getattr(owner, attribute)
+            setattr(owner, attribute, _bound_buffer(buffers[name], live))
+        self._post_fold()
 
     def fold_state(
         self,
@@ -391,15 +568,16 @@ class LinearSketch(Sketch):
     ) -> "LinearSketch":
         """Add a compatible sketch's raw state into this one (vectorized).
 
-        The zero-copy counterpart of :meth:`merge`: ``arrays`` / ``scalars``
-        are the peer's :meth:`_state_arrays` / :meth:`_state_scalars`
-        contents (e.g. read straight out of a worker's shared-memory block)
-        rather than a sketch object, so nothing needs to be decoded or even
-        pickled.  Every linear kind's array *and scalar* state is additive
-        under merge, so the fold is ``+=`` all the way down; kinds with
-        derived structures (heaps, sorted mirrors) rebuild them in
-        :meth:`_post_fold`.  The caller is responsible for compatibility
-        (same config/seed) — this is an engine-internal hot path.
+        ``arrays`` / ``scalars`` are the peer's :meth:`_state_arrays` /
+        :meth:`_state_scalars` contents: another sketch's, for
+        :meth:`merge`, or read straight out of a worker's shared-memory
+        block, so nothing needs to be decoded or even pickled.  Every
+        linear kind's array *and scalar* state is additive under merge, so
+        the fold is ``+=`` all the way down; kinds with derived structures
+        (heaps, sorted mirrors) rebuild them in :meth:`_post_fold`.  The
+        caller is responsible for compatibility (same config/seed) —
+        :meth:`merge` checks it, the sharded engine builds its workers from
+        the target's config.
         """
         live = self._state_arrays()
         if set(arrays) != set(live):
@@ -407,23 +585,20 @@ class LinearSketch(Sketch):
                 f"fold_state got fields {sorted(arrays)}, "
                 f"{type(self).__name__} has {sorted(live)}"
             )
+        if set(scalars) != set(self._side_scalars):
+            raise ValueError(
+                f"fold_state got scalars {sorted(scalars)}, "
+                f"{type(self).__name__} has {sorted(self._side_scalars)}"
+            )
         for name, view in live.items():
             view += arrays[name]
-        self._fold_scalars(scalars)
+        self._set_state_scalars({
+            name: value + float(scalars[name])
+            for name, value in self._state_scalars().items()
+        })
         self._items_processed += int(items_processed)
         self._post_fold()
         return self
-
-    def _fold_scalars(self, scalars: Dict[str, float]) -> None:
-        """Add a peer's scalar state; kinds with scalars must override."""
-        if scalars:
-            raise NotImplementedError(
-                f"{type(self).__name__} received scalars {sorted(scalars)} "
-                "but does not implement _fold_scalars"
-            )
-
-    def _post_fold(self) -> None:
-        """Rebuild any derived structures after a raw-state fold (hook)."""
 
     def _check_compatible(self, other: "LinearSketch") -> None:
         if type(other) is not type(self):

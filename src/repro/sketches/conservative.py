@@ -45,10 +45,20 @@ from repro.sketches.base import SCAN_BLOCK, Sketch
 from repro.utils.rng import RandomSource
 
 
-class CountMinCU(Sketch):
-    """Count-Min with conservative update (non-linear, cash-register only)."""
+class _ConservativeUpdateSketch(Sketch):
+    """What the two conservative-update kinds share.
 
-    name = "count_min_cu"
+    One unsigned counter table, dense vectors that must be non-negative,
+    and a :meth:`merge` that raises :class:`~repro.api.CapabilityError`.
+    A dense vector is ingested by the default :meth:`Sketch.fit`: one
+    weighted conservative update per non-zero coordinate, in increasing
+    index order, through the segmented batch path — for CML-CU the draw
+    sequence, and hence the table and generator state, is exactly the
+    scalar loop's.
+    """
+
+    #: the kind's name in error messages, in full and abbreviated
+    _labels = ("Count-Min with conservative update", "CM-CU")
 
     def __init__(
         self,
@@ -61,7 +71,34 @@ class CountMinCU(Sketch):
         self._table = HashedCounterTable(
             dimension, width, depth, signed=False, seed=seed
         )
+        self._tables = {"table": self._table}
         self._rows = np.arange(depth)
+
+    def _check_vector(self, x) -> np.ndarray:
+        arr = super()._check_vector(x)
+        if np.any(arr < 0):
+            raise ValueError(
+                f"{self._labels[1]} requires a non-negative frequency vector"
+            )
+        return arr
+
+    def merge(self, other) -> "_ConservativeUpdateSketch":
+        """Conservative update is not linear; merging is undefined."""
+        # local import: repro.api.errors is below the sketch layer only at
+        # runtime (the registry imports this module at api import time)
+        from repro.api.errors import CapabilityError
+
+        raise CapabilityError(
+            f"{self._labels[0]} is not linear and cannot be merged; use "
+            "CountMin, CountMedian, CountSketch or the bias-aware sketches "
+            "in the distributed model"
+        )
+
+
+class CountMinCU(_ConservativeUpdateSketch):
+    """Count-Min with conservative update (non-linear, cash-register only)."""
+
+    name = "count_min_cu"
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -123,65 +160,11 @@ class CountMinCU(Sketch):
                 table, cells, run_deltas[begin:stop], bounds
             )
 
-    def fit(self, x) -> "CountMinCU":
-        """Ingest a frequency vector by one weighted conservative update per item.
-
-        Conservative update is order-dependent; this replays the non-zero
-        coordinates in increasing index order with their full weight — the
-        standard batch convention, and what the evaluation harness uses for
-        every algorithm so the comparison stays fair.  The replay rides the
-        segmented batch path (the coordinates are distinct and sorted, so
-        coalescing is a no-op and the result matches the scalar loop
-        bit-identically).
-        """
-        arr = self._check_vector(x)
-        if np.any(arr < 0):
-            raise ValueError("CM-CU requires a non-negative frequency vector")
-        indices = np.flatnonzero(arr)
-        if indices.size:
-            self.update_batch(indices, arr[indices])
-        return self
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        return float(np.min(self._table.row_estimates(index)))
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        return np.min(self._table.row_estimates(idx), axis=0)
-
-    # ------------------------------------------------------------------ #
-    # non-linearity is the point
-    # ------------------------------------------------------------------ #
-    def merge(self, other) -> "CountMinCU":
-        """CM-CU is not a linear sketch; merging is undefined."""
-        # local import: repro.api.errors is below the sketch layer only at
-        # runtime (the registry imports this module at api import time)
-        from repro.api.errors import CapabilityError
-
-        raise CapabilityError(
-            "Count-Min with conservative update is not linear and cannot be "
-            "merged; use CountMin, CountMedian, CountSketch or the bias-aware "
-            "sketches in the distributed model"
-        )
-
-    def size_in_words(self) -> int:
-        return self._table.counter_count
-
-    def _state_arrays(self):
-        return {"table": self._table.table}
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        self._table.load_table(arrays["table"])
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` counter table (for inspection)."""
-        return self._table.table
+    def _estimate(self, keys):
+        return np.min(self._table.row_estimates(keys), axis=0)
 
 
 register_serializable(CountMinCU)

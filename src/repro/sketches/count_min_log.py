@@ -37,18 +37,20 @@ import numpy as np
 
 from repro.serialization import register_serializable
 from repro.sketches import _cu_batch
-from repro.sketches._tables import HashedCounterTable
-from repro.sketches.base import SCAN_BLOCK, Sketch
+from repro.sketches.base import SCAN_BLOCK
+from repro.sketches.conservative import _ConservativeUpdateSketch
 from repro.utils.rng import RandomSource, as_rng, derive_seed
 
 #: the counter base used throughout the paper's experiments
 PAPER_BASE = 1.00025
 
 
-class CountMinLogCU(Sketch):
+class CountMinLogCU(_ConservativeUpdateSketch):
     """Count-Min-Log with conservative update (non-linear, cash-register only)."""
 
     name = "count_min_log_cu"
+
+    _labels = ("Count-Min-Log with conservative update", "CML-CU")
 
     def __init__(
         self,
@@ -64,10 +66,6 @@ class CountMinLogCU(Sketch):
             raise ValueError(f"base must be > 1, got {base}")
         self.base = base
         self._log_base = math.log(base)
-        self._table = HashedCounterTable(
-            dimension, width, depth, signed=False, seed=seed
-        )
-        self._rows = np.arange(depth)
         self._rng = as_rng(derive_seed(seed, 303))
         # lazily-built exact conversion tables for the segmented batch path;
         # derived state only (never serialized — rebuilt on first batch)
@@ -163,33 +161,13 @@ class CountMinLogCU(Sketch):
         self._items_processed += int(idx.size)
         return self
 
-    def fit(self, x) -> "CountMinLogCU":
-        """Ingest a frequency vector by weighted conservative updates per item.
-
-        Replays the non-zero coordinates in increasing index order with
-        their full weight, through the segmented batch path — the draw
-        sequence (and hence the resulting table and generator state) is
-        exactly the scalar loop's.
-        """
-        arr = self._check_vector(x)
-        if np.any(arr < 0):
-            raise ValueError("CML-CU requires a non-negative frequency vector")
-        indices = np.flatnonzero(arr)
-        if indices.size:
-            self.update_batch(indices, arr[indices])
-        return self
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        min_counter = float(np.min(self._table.row_estimates(index)))
-        return self.counter_to_value(min_counter)
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        min_counters = np.min(self._table.row_estimates(idx), axis=0)
+    def _estimate(self, keys):
+        min_counters = np.min(self._table.row_estimates(keys), axis=0)
+        if isinstance(keys, int):
+            return self.counter_to_value(float(min_counters))
         # the counters are integral, so decoding is a lookup in a table built
         # with the scalar arithmetic of counter_to_value: a batch answers each
         # key exactly as query() does (np.power rounds the last ulp
@@ -197,21 +175,6 @@ class CountMinLogCU(Sketch):
         top = int(min_counters.max()) if min_counters.size else 0
         decode = self._log_codec().decode_table(top)
         return decode[min_counters.astype(np.int64)]
-
-    def merge(self, other) -> "CountMinLogCU":
-        """CML-CU is not a linear sketch; merging is undefined."""
-        # local import: repro.api.errors is below the sketch layer only at
-        # runtime (the registry imports this module at api import time)
-        from repro.api.errors import CapabilityError
-
-        raise CapabilityError(
-            "Count-Min-Log with conservative update is not linear and cannot "
-            "be merged; use CountMin, CountMedian, CountSketch or the "
-            "bias-aware sketches in the distributed model"
-        )
-
-    def size_in_words(self) -> int:
-        return self._table.counter_count
 
     def _config_dict(self):
         config = super()._config_dict()
@@ -223,9 +186,6 @@ class CountMinLogCU(Sketch):
         return cls(config["dimension"], config["width"], config["depth"],
                    base=config.get("base", PAPER_BASE), seed=config.get("seed"))
 
-    def _state_arrays(self):
-        return {"table": self._table.table}
-
     def _state_meta(self):
         # the generator state makes post-restore randomised rounding replay
         # the exact draw sequence the original sketch would have used
@@ -233,14 +193,8 @@ class CountMinLogCU(Sketch):
 
     def _load_state_payload(self, arrays, scalars, meta) -> None:
         super()._load_state_payload(arrays, scalars, meta)
-        self._table.load_table(arrays["table"])
         if "rng_state" in meta:
             self._rng.bit_generator.state = meta["rng_state"]
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` log-counter table (for inspection)."""
-        return self._table.table
 
 
 register_serializable(CountMinLogCU)

@@ -36,60 +36,10 @@ class CountSketch(LinearSketch):
         self._table = HashedCounterTable(
             dimension, width, depth, signed=True, seed=seed
         )
+        self._tables = {"table": self._table}
 
-    def update(self, index: int, delta: float = 1.0) -> None:
-        index = self._check_index(index)
-        self._table.add_update(index, float(delta))
-        self._items_processed += 1
-
-    def update_batch(self, indices, deltas=None) -> "CountSketch":
-        """Vectorised batch ingestion: one signed scatter-add per chunk."""
-        idx, d = self._check_batch(indices, deltas)
-        self._table.add_batch(idx, d)
-        self._items_processed += idx.size
-        return self
-
-    def fit(self, x) -> "CountSketch":
-        arr = self._check_vector(x)
-        self._table.add_vector(arr)
-        self._items_processed += int(np.count_nonzero(arr))
-        return self
-
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        return float(median_over_rows(self._table.row_estimates(index)))
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        return median_over_rows(self._table.row_estimates(idx))
-
-    def merge(self, other: "CountSketch") -> "CountSketch":
-        self._check_compatible(other)
-        self._table.merge_from(other._table)
-        self._items_processed += other._items_processed
-        return self
-
-    def scale(self, factor: float) -> "CountSketch":
-        self._table.scale_by(float(factor))
-        return self
-
-    def size_in_words(self) -> int:
-        return self._table.counter_count
-
-    def _state_arrays(self):
-        return {"table": self._table.table}
-
-    def bind_state_buffers(self, buffers) -> None:
-        self._table.bind_buffer(buffers["table"])
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        self._table.load_table(arrays["table"])
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` counter table (for inspection)."""
-        return self._table.table
+    def _estimate(self, keys):
+        return median_over_rows(self._table.row_estimates(keys))
 
     def bucket_sign_sums(self) -> np.ndarray:
         """Per-row ψ vectors (per-bucket sums of signs), used by ℓ2-S/R."""

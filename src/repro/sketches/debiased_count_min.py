@@ -36,10 +36,36 @@ from repro.sketches.base import LinearSketch
 from repro.utils.rng import RandomSource
 
 
+class _TotalMass:
+    """``‖x‖_1`` for non-negative inputs: the running sum of every delta.
+
+    It adds an empty batch's ``0.0`` sum too, which turns a ``-0.0`` total
+    (a zero total scaled by −1) into ``0.0``.
+    """
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+    def update(self, index: int, delta: float) -> None:
+        self.value += delta
+
+    def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        self.value += float(np.sum(deltas))
+
+    def ingest_vector(self, x: np.ndarray) -> None:
+        self.value += float(np.sum(x))
+
+    def size_in_words(self) -> int:
+        return 1
+
+
 class DebiasedCountMin(LinearSketch):
     """Count-Min with the Deng-Rafiei per-bucket background subtraction."""
 
     name = "debiased_count_min"
+
+    #: the running total ‖x‖_1, serialized as the ``total_mass`` scalar
+    _side_scalars = {"total_mass": "value"}
 
     def __init__(
         self,
@@ -58,47 +84,16 @@ class DebiasedCountMin(LinearSketch):
         self._table = HashedCounterTable(
             dimension, width, depth, signed=False, seed=seed
         )
-        self._total_mass = 0.0
+        self._tables = {"table": self._table}
+        self._side_state = _TotalMass()
 
     @property
     def _pi(self) -> np.ndarray:
         return self._table.cached_column_sums()
 
-    # ------------------------------------------------------------------ #
-    # ingestion
-    # ------------------------------------------------------------------ #
-    def update(self, index: int, delta: float = 1.0) -> None:
-        index = self._check_index(index)
-        delta = float(delta)
-        self._table.add_update(index, delta)
-        self._total_mass += delta
-        self._items_processed += 1
-
-    def update_batch(self, indices, deltas=None) -> "DebiasedCountMin":
-        """Vectorised batch ingestion: scatter-add plus the running ‖x‖₁."""
-        idx, d = self._check_batch(indices, deltas)
-        self._table.add_batch(idx, d)
-        self._total_mass += float(np.sum(d))
-        self._items_processed += idx.size
-        return self
-
-    def fit(self, x) -> "DebiasedCountMin":
-        arr = self._check_vector(x)
-        self._table.add_vector(arr)
-        self._total_mass += float(np.sum(arr))
-        self._items_processed += int(np.count_nonzero(arr))
-        return self
-
-    # ------------------------------------------------------------------ #
-    # recovery
-    # ------------------------------------------------------------------ #
-    def query(self, index: int) -> float:
-        index = self._check_index(index)
-        return float(self._estimate(index))
-
-    def query_batch(self, indices) -> np.ndarray:
-        idx, _ = self._check_batch(indices, None)
-        return self._estimate(idx)
+    @property
+    def _total_mass(self) -> float:
+        return self._side_state.value
 
     def _estimate(self, keys) -> np.ndarray:
         """Subtract each bucket's background and median-combine, per key."""
@@ -107,48 +102,6 @@ class DebiasedCountMin(LinearSketch):
         outside_items = np.maximum(self.dimension - bucket_sizes, 1.0)
         background = outside_mass / outside_items * (bucket_sizes - 1.0)
         return median_over_rows(counters - background)
-
-    # ------------------------------------------------------------------ #
-    # linearity
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "DebiasedCountMin") -> "DebiasedCountMin":
-        self._check_compatible(other)
-        self._table.merge_from(other._table)
-        self._total_mass += other._total_mass
-        self._items_processed += other._items_processed
-        return self
-
-    def scale(self, factor: float) -> "DebiasedCountMin":
-        factor = float(factor)
-        self._table.scale_by(factor)
-        self._total_mass *= factor
-        return self
-
-    def size_in_words(self) -> int:
-        # the counters plus the single running total ‖x‖_1
-        return self._table.counter_count + 1
-
-    def _state_arrays(self):
-        return {"table": self._table.table}
-
-    def _state_scalars(self):
-        return {"total_mass": float(self._total_mass)}
-
-    def bind_state_buffers(self, buffers) -> None:
-        self._table.bind_buffer(buffers["table"])
-
-    def _fold_scalars(self, scalars) -> None:
-        self._total_mass += float(scalars["total_mass"])
-
-    def _load_state_payload(self, arrays, scalars, meta) -> None:
-        super()._load_state_payload(arrays, scalars, meta)
-        self._table.load_table(arrays["table"])
-        self._total_mass = float(scalars["total_mass"])
-
-    @property
-    def table(self) -> np.ndarray:
-        """The raw ``(depth, width)`` counter table (for inspection)."""
-        return self._table.table
 
     @property
     def total_mass(self) -> float:

@@ -39,24 +39,6 @@ class TestSamplingMedianEstimator:
         np.testing.assert_allclose(batch.sample_values, streamed.sample_values)
         assert batch.current_estimate() == pytest.approx(streamed.current_estimate())
 
-    def test_merge_adds_sample_values(self, rng):
-        x = rng.poisson(5.0, size=200).astype(float)
-        y = rng.poisson(7.0, size=200).astype(float)
-        merged = SamplingMedianEstimator(200, samples=32, seed=4)
-        merged.ingest_vector(x)
-        other = SamplingMedianEstimator(200, samples=32, seed=4)
-        other.ingest_vector(y)
-        merged.merge(other)
-        direct = SamplingMedianEstimator(200, samples=32, seed=4)
-        direct.ingest_vector(x + y)
-        np.testing.assert_allclose(merged.sample_values, direct.sample_values)
-
-    def test_merge_rejects_different_sampling(self):
-        a = SamplingMedianEstimator(100, samples=16, seed=1)
-        b = SamplingMedianEstimator(100, samples=16, seed=2)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_theta_log_n_sample_count(self):
         estimator = SamplingMedianEstimator.theta_log_n(100_000, seed=0)
         assert estimator.samples == int(np.ceil(20.0 * np.log(100_000)))
@@ -118,18 +100,6 @@ class TestMeanEstimator:
         estimator.update(0, 5.0)
         estimator.update(3, 15.0)
         assert estimator.current_estimate() == pytest.approx(2.0)
-
-    def test_merge_and_scale_are_linear(self, rng):
-        x = rng.normal(size=50)
-        y = rng.normal(size=50)
-        a = MeanEstimator(50)
-        a.ingest_vector(x)
-        b = MeanEstimator(50)
-        b.ingest_vector(y)
-        a.merge(b)
-        assert a.current_estimate() == pytest.approx(np.mean(x + y))
-        a.scale(2.0)
-        assert a.current_estimate() == pytest.approx(2.0 * np.mean(x + y))
 
     def test_not_robust_to_outliers(self, rng):
         """The documented failure mode (Section 4.1)."""
