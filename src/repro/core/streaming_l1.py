@@ -76,7 +76,8 @@ class StreamingL1BiasAwareSketch(L1BiasAwareSketch):
 
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
-        delta = float(delta)
+        # checked before the sorted samples change, not only in the base update
+        delta = self._check_delta(delta)
         # replace affected sample values in the sorted structure before the
         # estimator mutates them
         for slot in self._bias_estimator._slots_of.get(int(index), ()):

@@ -48,6 +48,21 @@ class StreamingL2BiasAwareSketch(L2BiasAwareSketch):
         )
         self._bias_heap = BiasHeap(self._pi_g, head_size=self.head_size)
 
+    @classmethod
+    def _from_config(cls, config):
+        """A blank sketch for a restore, without the empty Bias-Heap.
+
+        Every restore (and so every ``copy()``) ends in :meth:`_post_fold`,
+        which builds the heap from the payload, so the empty one
+        ``__init__`` builds would be thrown away at once.
+        """
+        sketch = cls.__new__(cls)
+        L2BiasAwareSketch.__init__(
+            sketch, config["dimension"], config["width"], config["depth"],
+            head_size=config.get("head_size"), seed=config.get("seed"),
+        )
+        return sketch
+
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #

@@ -59,6 +59,7 @@ bookkeeping (:meth:`Sketch._state_meta`) and its own arithmetic.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -435,6 +436,13 @@ class Sketch(StateProtocolMixin, abc.ABC):
     def _check_index(self, index: int) -> int:
         return require_index(index, self.dimension)
 
+    def _check_delta(self, delta) -> float:
+        """A scalar update's delta, rejected unless finite as a batch's are."""
+        delta = float(delta)
+        if not math.isfinite(delta):
+            raise ValueError("deltas must contain only finite values")
+        return delta
+
     def _check_batch(self, indices, deltas):
         return ensure_batch_arrays(indices, deltas, self.dimension)
 
@@ -469,7 +477,7 @@ class LinearSketch(Sketch):
     # ------------------------------------------------------------------ #
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
-        delta = float(delta)
+        delta = self._check_delta(delta)
         for table in self._tables.values():
             table.add_update(index, delta)
         if self._side_state is not None:
@@ -510,11 +518,23 @@ class LinearSketch(Sketch):
     # ------------------------------------------------------------------ #
     def merge(self, other: "LinearSketch") -> "LinearSketch":
         """Add ``other``'s state into this sketch in place and return ``self``."""
-        self._check_compatible(other)
-        return self.fold_state(
-            other._state_arrays(), other._state_scalars(),
-            other._items_processed,
-        )
+        return self._merge_all((other,))
+
+    def _merge_all(self, others) -> "LinearSketch":
+        """Merge each sketch of ``others`` in turn, then :meth:`_post_fold` once.
+
+        A window's merged view and its pane compaction fold every pane
+        through here, so a kind's derived structure is rebuilt once per
+        call, not once per pane.
+        """
+        for other in others:
+            self._check_compatible(other)
+            self._add_state(
+                other._state_arrays(), other._state_scalars(),
+                other._items_processed,
+            )
+        self._post_fold()
+        return self
 
     def scale(self, factor: float) -> "LinearSketch":
         """Scale the sketch state in place by ``factor`` and return ``self``."""
@@ -579,6 +599,12 @@ class LinearSketch(Sketch):
         :meth:`merge` checks it, the sharded engine builds its workers from
         the target's config.
         """
+        self._add_state(arrays, scalars, items_processed)
+        self._post_fold()
+        return self
+
+    def _add_state(self, arrays, scalars, items_processed) -> None:
+        """The sum of :meth:`fold_state`, without the :meth:`_post_fold`."""
         live = self._state_arrays()
         if set(arrays) != set(live):
             raise ValueError(
@@ -597,8 +623,6 @@ class LinearSketch(Sketch):
             for name, value in self._state_scalars().items()
         })
         self._items_processed += int(items_processed)
-        self._post_fold()
-        return self
 
     def _check_compatible(self, other: "LinearSketch") -> None:
         if type(other) is not type(self):

@@ -21,9 +21,13 @@ Within a segment no run can read a counter another run writes, so every run
 observes exactly the table state the scalar replay would show it, and the
 min/max rule vectorises over the whole segment (one gather, ``min`` over
 depth, ``target = min + Δ``, one ``np.maximum`` scatter).  Only true
-collisions force a segment boundary and order across segments is preserved,
-so the batched state is **bit-identical** to scalar replay for integer
-deltas (float deltas match to coalescing order).  This is what makes CM-CU
+collisions force a segment boundary and order across segments is preserved.
+Two updates of one key coalesce into one whenever no update between them
+touches the key's counters — consecutive repeats always, and repeats with
+other keys' runs between them when at least a quarter of a chunk's runs
+can fold that way, as the repeats of a skewed stream's heavy keys do.  So
+the batched state is **bit-identical** to scalar replay for integer deltas
+(float deltas match to coalescing order).  This is what makes CM-CU
 *exact-batchable* without being linear — the capability
 (``SketchSpec.exact_batch``) that lets tumbling-mode windows accept CU
 kinds: tumbling panes are independent and never merge, so the pane ring
@@ -105,7 +109,7 @@ class CountMinCU(_ConservativeUpdateSketch):
     # ------------------------------------------------------------------ #
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
-        delta = float(delta)
+        delta = self._check_delta(delta)
         if delta < 0:
             raise ValueError(
                 "conservative update only supports non-negative increments"
@@ -125,10 +129,11 @@ class CountMinCU(_ConservativeUpdateSketch):
         update (exact for CM-CU: applying ``Δ₁`` then ``Δ₂`` to an untouched
         item raises its counters exactly as ``Δ₁ + Δ₂`` does), then the runs
         flush through the conflict-free segments of
-        :mod:`repro.sketches._cu_batch` — the final state equals scalar
-        replay bit-identically for integer deltas.  Work proceeds one
-        :data:`SCAN_BLOCK` chunk at a time so transient memory stays
-        O(depth × block) however large the batch.
+        :mod:`repro.sketches._cu_batch`, which also folds a key's repeated
+        runs into one when no run between them touches the key's counters
+        — the final state equals scalar replay bit-identically for integer
+        deltas.  Work proceeds one :data:`SCAN_BLOCK` chunk at a time so
+        transient memory stays O(depth × block) however large the batch.
         """
         idx, d = self._check_batch(indices, deltas)
         if np.any(d < 0):
@@ -153,12 +158,14 @@ class CountMinCU(_ConservativeUpdateSketch):
         table_cells = self.depth * self.width
         for begin in range(0, run_indices.size, SCAN_BLOCK):
             stop = begin + SCAN_BLOCK
-            cols = self._table.bucket_columns(run_indices[begin:stop])
-            cells = _cu_batch.flat_cells(cols, self.width)
-            bounds = _cu_batch.segment_bounds(cells, table_cells)
-            _cu_batch.apply_conservative(
-                table, cells, run_deltas[begin:stop], bounds
+            keys, deltas = run_indices[begin:stop], run_deltas[begin:stop]
+            cells = _cu_batch.flat_cells(
+                self._table.bucket_columns(keys), self.width
             )
+            # may fold a key's repeated runs into the front of cells and
+            # deltas; the bounds then cover only the kept runs
+            bounds = _cu_batch.segment_bounds(cells, table_cells, keys, deltas)
+            _cu_batch.apply_conservative(table, cells, deltas, bounds)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -103,7 +103,7 @@ class CountMinLogCU(_ConservativeUpdateSketch):
     # ------------------------------------------------------------------ #
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
-        delta = float(delta)
+        delta = self._check_delta(delta)
         if delta < 0:
             raise ValueError(
                 "Count-Min-Log only supports non-negative increments"

@@ -715,18 +715,18 @@ class SlidingWindowSketch:
 
         The view is a sketch of exactly the in-window updates: the live
         panes merged oldest-to-newest (linearity makes the order
-        irrelevant).  Treat it as **read-only** — when only one pane is
-        live it *is* the open pane.
+        irrelevant) into a copy of the oldest, whose derived structures
+        are rebuilt once.  Treat it as **read-only** — when only one pane
+        is live it *is* the open pane.
         """
         if self._merged is not None:
             return self._merged
         if not self._closed:
             merged = self._current
         else:
-            merged = self._closed[0].copy()
-            for pane in self._closed[1:]:
-                merged.merge(pane)
-            merged.merge(self._current)
+            merged = self._closed[0].copy()._merge_all(
+                self._closed[1:] + [self._current]
+            )
         self._merged = merged
         return merged
 
@@ -762,9 +762,7 @@ class SlidingWindowSketch:
         """
         if len(self._closed) < 2:
             return 0
-        folded = self._closed[0].copy()
-        for pane in self._closed[1:]:
-            folded.merge(pane)
+        folded = self._closed[0].copy()._merge_all(self._closed[1:])
         removed = len(self._closed) - 1
         self._closed = [folded]
         self._merged = None

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.api import SketchConfig
 from repro.core import (
     BiasHeap,
     L1BiasAwareSketch,
@@ -12,6 +13,7 @@ from repro.core import (
     StreamingL1BiasAwareSketch,
     StreamingL2BiasAwareSketch,
 )
+from repro.streaming import SlidingWindowSketch, WindowSpec
 
 
 class TestStreamingL1:
@@ -116,10 +118,10 @@ class TestStreamingL2:
 class TestBiasHeapWork:
     """How many Bias-Heaps each path of ``l2_sr_streaming`` builds.
 
-    A restore or a ``copy()`` builds the empty heap of ``__init__`` and then
-    restores the recorded partition from ``heap_locations``; every bulk path
-    rebuilds the heap once; a scalar update moves one bucket's rank and
-    builds nothing.
+    A restore or a ``copy()`` restores the recorded partition from
+    ``heap_locations`` and builds nothing else; every bulk path rebuilds the
+    heap once; a window's merged view rebuilds it once however many panes
+    it folds; a scalar update moves one bucket's rank and builds nothing.
     """
 
     DIMENSION = 400
@@ -155,10 +157,10 @@ class TestBiasHeapWork:
         payload = sketch.to_bytes()
         heap_builds.clear()
         StreamingL2BiasAwareSketch.from_bytes(payload)
-        assert heap_builds == ["empty", "restore"]
+        assert heap_builds == ["restore"]
         heap_builds.clear()
         sketch.copy()
-        assert heap_builds == ["empty", "restore"]
+        assert heap_builds == ["restore"]
 
     @pytest.mark.parametrize("path", [
         "update_batch", "fit", "merge", "scale", "fold_state",
@@ -186,6 +188,47 @@ class TestBiasHeapWork:
                 for field, shape in sketch.shared_state_layout()
             })
         assert heap_builds == ["rebuild"]
+
+    def _window(self, rng, panes=16, pane_size=64):
+        spec = WindowSpec(mode="sliding", panes=panes, pane_size=pane_size)
+        window = SlidingWindowSketch(SketchConfig(
+            "l2_sr_streaming", dimension=self.DIMENSION, width=32, depth=3,
+            seed=7, window=spec,
+        ))
+        updates = panes * pane_size + pane_size // 2
+        window.update_batch(
+            rng.integers(0, self.DIMENSION, size=updates),
+            rng.integers(1, 9, size=updates).astype(float),
+        )
+        return window
+
+    def test_a_window_view_rebuilds_once(self, rng, heap_builds):
+        """16 live panes: the copy of the oldest restores, one fold rebuilds."""
+        window = self._window(rng)
+        assert window.pane_count == 16
+        heap_builds.clear()
+        view = window.view()
+        assert heap_builds == ["restore", "rebuild"]
+        # the same state as merging the panes one by one
+        panes = window._closed + [window._current]
+        merged = panes[0].copy()
+        for pane in panes[1:]:
+            merged.merge(pane)
+        assert view.to_bytes() == merged.to_bytes()
+        keys = np.arange(self.DIMENSION)
+        np.testing.assert_array_equal(
+            view.query_batch(keys), merged.query_batch(keys)
+        )
+
+    def test_folding_closed_panes_rebuilds_once(self, rng, heap_builds):
+        window = self._window(rng)
+        before = window.view().query_batch(np.arange(self.DIMENSION))
+        heap_builds.clear()
+        assert window.fold_closed_panes() == 14
+        assert heap_builds == ["restore", "rebuild"]
+        np.testing.assert_array_equal(
+            window.view().query_batch(np.arange(self.DIMENSION)), before
+        )
 
     def test_a_scalar_update_builds_no_heap(self, rng, heap_builds):
         sketch = self._sketch(rng)

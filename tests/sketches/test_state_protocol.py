@@ -209,6 +209,33 @@ class TestWordAccounting:
         assert 8 * words < sketch.size_in_bytes() < 8 * words + 2_000
 
 
+class TestScalarUpdateRejectsNonFinite:
+    """A scalar ``update`` rejects what ``update_batch`` rejects.
+
+    The message is the batch path's, and nothing changes: neither the
+    payload bytes nor the answers, which also read the derived structures
+    (the streaming kinds' sorted samples and Bias-Heap).
+    """
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("name", available_sketches())
+    def test_every_kind_rejects_and_keeps_its_state(self, name, delta):
+        sketch = SketchConfig(name, dimension=DIMENSION, width=WIDTH,
+                              depth=DEPTH, seed=SEED).build()
+        rng = np.random.default_rng(5)
+        sketch.update_batch(rng.integers(0, DIMENSION, size=300),
+                            rng.integers(1, 5, size=300).astype(float))
+        payload = sketch.to_bytes()
+        keys = np.arange(DIMENSION)
+        answers = sketch.query_batch(keys)
+        with pytest.raises(ValueError,
+                           match="deltas must contain only finite values"):
+            sketch.update(5, delta)
+        assert sketch.to_bytes() == payload
+        np.testing.assert_array_equal(sketch.query_batch(keys), answers)
+
+
 class TestCopyThroughStateProtocol:
     def test_copy_preserves_queries_and_is_independent(self):
         sketch = small_sketch(L1BiasAwareSketch)
