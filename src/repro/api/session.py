@@ -29,6 +29,7 @@ through this facade.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from pathlib import Path
@@ -341,8 +342,9 @@ class SketchSession:
         ``shards`` forces the multi-core sharded engine (``shards > 1``;
         linear sketches with integer seeds only); when omitted, ingests of
         at least ``auto_shard_threshold`` updates shard automatically on
-        multi-core machines — windowed sessions shard *within* a pane and
-        fold the result back at pane granularity.  The conservative-update
+        multi-core machines.  A windowed session makes both decisions for
+        each within-pane segment the pane ring hands back, so no shard
+        spans a pane boundary.  The conservative-update
         kinds cannot shard, but the same threshold auto-chunks their
         ingests through the exact segmented batch path instead, so a huge
         CU stream needs no special-casing by the caller.  Returns ``self``
@@ -482,55 +484,54 @@ class SketchSession:
         shards: Union[int, None],
         timestamps: Any = None,
     ) -> "SketchSession":
+        # explicit options are checked before any update is applied; the
+        # auto-shard and auto-chunk decisions are made per applied batch,
+        # so a windowed session makes them per within-pane segment
+        if batch_size is not None:
+            batch_size = require_positive_int(batch_size, "batch_size")
+        if shards is not None:
+            shards = self._resolve_shards(0, shards)
+        apply = functools.partial(self._apply, batch_size=batch_size,
+                                  shards=shards)
         if self._window is not None:
-            # the window engine validates the batch itself (single
-            # _check_batch pass); explicit shard counts are validated here,
-            # while auto-shard decisions are deferred to the engine so they
-            # are made per within-pane segment, not for the whole batch
-            if shards is not None:
-                resolved = self._resolve_shards(0, shards)
-                engine_shards = resolved if resolved > 1 else None
-                resolver = None          # explicit count (even 1) wins
-            else:
-                engine_shards = None
+            self._window.update_batch(indices, deltas, timestamps, apply=apply)
+        else:
+            apply(self._sketch, *self._sketch._check_batch(indices, deltas))
+        return self
 
-                def resolver(updates: int) -> int:
-                    return self._resolve_shards(updates, None)
-            report = self._window.update_batch(
-                indices,
-                deltas,
-                timestamps=timestamps,
-                shards=engine_shards,
-                batch_size=batch_size,
-                shard_resolver=resolver,
-                pool_factory=self._shard_pool,
-            )
-            if report is not None:
-                self._last_shard_report = report
-            return self
-        indices, deltas = self._sketch._check_batch(indices, deltas)
+    def _apply(
+        self,
+        target: Sketch,
+        indices: np.ndarray,
+        deltas: np.ndarray,
+        batch_size: Optional[int],
+        shards: Optional[int],
+    ) -> None:
+        """Apply one checked batch to ``target``: the bare sketch or a pane.
+
+        Shards it through the warm pool, chunks it by ``batch_size`` (or
+        :meth:`_auto_batch_size`), or makes one ``update_batch`` call.
+        """
         resolved = self._resolve_shards(int(indices.size), shards)
         if resolved > 1:
-            # folds straight into the live sketch through shared memory; the
+            # folds straight into the target through shared memory; the
             # pool stays warm for the session's lifetime (see close())
             self._last_shard_report = self._shard_pool(resolved).ingest(
                 indices,
                 deltas,
-                target=self._sketch,  # type: ignore[arg-type]
+                target=target,  # type: ignore[arg-type]
                 shards=resolved,
                 batch_size=batch_size or DEFAULT_BATCH_SIZE,
             )
-            return self
+            return
         if batch_size is None:
             batch_size = self._auto_batch_size(int(indices.size))
         if batch_size is None:
-            self._sketch.update_batch(indices, deltas)
-        else:
-            batch_size = require_positive_int(batch_size, "batch_size")
-            for start in range(0, indices.size, batch_size):
-                stop = start + batch_size
-                self._sketch.update_batch(indices[start:stop], deltas[start:stop])
-        return self
+            target.update_batch(indices, deltas)
+            return
+        for start in range(0, indices.size, batch_size):
+            stop = start + batch_size
+            target.update_batch(indices[start:stop], deltas[start:stop])
 
     def _auto_batch_size(self, updates: int) -> Optional[int]:
         """Chunk size for large exact-batchable non-linear ingests, or ``None``.

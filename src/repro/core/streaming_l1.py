@@ -74,6 +74,21 @@ class StreamingL1BiasAwareSketch(L1BiasAwareSketch):
         )
         self._sorted_samples = _SortedValues(self._bias_estimator.sample_values)
 
+    @classmethod
+    def _from_config(cls, config):
+        """A blank sketch for a restore, without the sorted samples.
+
+        Every restore (and so every ``copy()``) ends in :meth:`_post_fold`,
+        which sorts the payload's samples, so the multiset ``__init__``
+        sorts would be thrown away at once.
+        """
+        sketch = cls.__new__(cls)
+        L1BiasAwareSketch.__init__(
+            sketch, config["dimension"], config["width"], config["depth"],
+            bias_samples=config.get("bias_samples"), seed=config.get("seed"),
+        )
+        return sketch
+
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
         # checked before the sorted samples change, not only in the base update

@@ -30,6 +30,8 @@ The JSON header carries ``kind`` (the registry name of the sketch class),
 the sketch's word footprint), ``meta`` (bookkeeping that does not, e.g.
 ``items_processed`` or the CML-CU generator state) and an ``arrays`` manifest
 of ``{name, dtype, shape}`` entries describing the payloads that follow.
+The window container of :mod:`repro.streaming.windows` (magic ``RPWD``) is
+framed the same way, by the same two functions.
 
 The format is *seed-reproducible*: data-independent structure (hash buckets,
 signs, sampled coordinate indices, dense Gaussian matrices) is never encoded —
@@ -52,7 +54,7 @@ from __future__ import annotations
 import json
 import struct
 from contextlib import contextmanager
-from typing import Any, Dict, Type
+from typing import Any, Dict, List, Tuple, Type
 
 import numpy as np
 
@@ -269,54 +271,85 @@ def encode_state(state: Dict[str, Any]) -> bytes:
         "meta": _json_safe(state.get("meta", {}), "meta"),
         "arrays": manifest,
     }
+    return _write_framed(WIRE_MAGIC, WIRE_VERSION, header, payloads)
+
+
+# --------------------------------------------------------------------------- #
+# framing: the preamble and JSON header shared by RPSK and RPWD
+# --------------------------------------------------------------------------- #
+def _write_framed(magic: bytes, version: int, header: Dict[str, Any],
+                  payloads: List[bytes]) -> bytes:
+    """The preamble, the sorted-key JSON ``header``, then ``payloads``.
+
+    Both versioned containers are framed this way: a sketch (``RPSK``,
+    :func:`encode_state`) and a window (``RPWD``, whose payloads are one
+    ``RPSK`` payload per live pane).
+    """
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    parts = [_PREAMBLE.pack(WIRE_MAGIC, WIRE_VERSION, len(header_bytes)), header_bytes]
-    parts.extend(payloads)
-    return b"".join(parts)
+    return b"".join(
+        [_PREAMBLE.pack(magic, version, len(header_bytes)), header_bytes,
+         *payloads]
+    )
+
+
+def _read_framed(data: bytes, magic: bytes, version: int,
+                 noun: str) -> Tuple[Dict[str, Any], int]:
+    """Check the preamble of a ``noun`` payload and parse its JSON header.
+
+    Returns the header, which must be a JSON object, and the offset of the
+    first payload byte.  Every failure names what it read: a version
+    mismatch reports the embedded version next to the supported one, and a
+    header that cannot be parsed reports the version the payload claims.
+    """
+    # the sketch family predates the window one; its messages say "payload"
+    # where the window's say "window"
+    label = "" if noun == "sketch" else f"{noun} "
+    if len(data) < _PREAMBLE.size:
+        raise SerializationError(
+            f"payload of {len(data)} bytes is too short to be a serialized "
+            f"{noun}"
+        )
+    found, found_version, header_len = _PREAMBLE.unpack_from(data, 0)
+    if found != magic:
+        raise SerializationError(
+            f"bad magic {found!r}; not a serialized {noun} payload"
+        )
+    if found_version != version:
+        raise SerializationError(
+            f"unsupported {label}wire-format version {found_version}; this "
+            f"build reads version {version} — re-save the {noun} with a "
+            "matching build"
+        )
+    start = _PREAMBLE.size
+    end = start + header_len
+    if len(data) < end:
+        raise SerializationError(
+            f"truncated {label}payload (wire version {found_version}): header "
+            "is incomplete"
+        )
+    header_word = label or "payload "
+    try:
+        header = json.loads(data[start:end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(
+            f"corrupt {header_word}header in a payload written as wire "
+            f"version {found_version}: {exc}"
+        ) from exc
+    if not isinstance(header, dict):
+        raise SerializationError(
+            f"corrupt {header_word}header: expected a JSON object, got "
+            f"{type(header).__name__}"
+        )
+    return header, end
 
 
 # --------------------------------------------------------------------------- #
 # decoding
 # --------------------------------------------------------------------------- #
 def _decode_header(data: bytes) -> tuple:
-    if len(data) < _PREAMBLE.size:
-        raise SerializationError(
-            f"payload of {len(data)} bytes is too short to be a serialized sketch"
-        )
-    magic, version, header_len = _PREAMBLE.unpack_from(data, 0)
-    if magic != WIRE_MAGIC:
-        raise SerializationError(
-            f"bad magic {magic!r}; not a serialized sketch payload"
-        )
-    if version != WIRE_VERSION:
-        raise SerializationError(
-            f"unsupported wire-format version {version}; this build reads "
-            f"version {WIRE_VERSION} — re-save the sketch with a matching "
-            "build"
-        )
-    start = _PREAMBLE.size
-    end = start + header_len
-    if len(data) < end:
-        raise SerializationError(
-            f"truncated payload (wire version {version}): header is incomplete"
-        )
-    try:
-        header = json.loads(data[start:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        # name the version the payload claims, so a reader holding an
-        # incompatible minor revision sees which build wrote it instead of
-        # a bare "corrupt payload" message
-        raise SerializationError(
-            f"corrupt payload header in a payload written as wire version "
-            f"{version}: {exc}"
-        ) from exc
-    if not isinstance(header, dict):
-        raise SerializationError(
-            f"corrupt payload header: expected a JSON object, got "
-            f"{type(header).__name__}"
-        )
+    header, end = _read_framed(data, WIRE_MAGIC, WIRE_VERSION, "sketch")
     kind = header.get("kind")
     if not isinstance(kind, str) or not kind:
         raise SerializationError(

@@ -18,47 +18,39 @@ sketches are **linear**, a windowed summary falls out of existing machinery:
   by a constant factor at every pane boundary, so old updates fade instead of
   being evicted.
 
-Sliding and decay windows rest on linearity (a sketch of a stream equals the
-merge of sketches of its panes), so they reject the conservative-update
-sketches — whose state is order-dependent and unmergeable — with
-:class:`~repro.api.CapabilityError` up front.  **Tumbling** windows do not:
-their single pane resets at every boundary and never merges, so any
-*exact-batchable* sketch (``SketchSpec.exact_batch`` — including CM-CU and
-CML-CU via segmented conservative-update batching) can tumble; only the
-pane-granular sharded path stays linear-only, because folding shard results
-into the open pane is itself a merge.
-
-Window state is a first-class portable artifact: :meth:`SlidingWindowSketch.
-to_bytes` encodes the window spec, the ring bookkeeping and every live pane
-in a versioned container (magic ``RPWD``) whose pane payloads are exactly
-the ``RPSK`` sketch payloads of :mod:`repro.serialization`, so a window can
-be persisted, shipped and reopened anywhere like a bare sketch.
+Only the pane ring lives here.  Which sketches a window accepts is checked
+by :class:`~repro.api.SketchConfig`: sliding and decay windows merge and
+scale panes, so they need a linear sketch, while tumbling windows (one pane,
+reset at every boundary, never merged) accept any exact-batchable one, CM-CU
+and CML-CU included.  How a segment reaches its pane is the caller's choice:
+:meth:`SlidingWindowSketch.update_batch` splits a batch at pane boundaries
+and hands each segment to an ``apply`` callable, through which
+:class:`~repro.api.SketchSession` shards or chunks it as it would a bare
+sketch's batch.  The ``RPWD`` container of :meth:`SlidingWindowSketch.
+to_bytes` is framed by :mod:`repro.serialization` like the ``RPSK`` sketch
+payload, and its pane payloads are ``RPSK`` payloads, so a window can be
+persisted, shipped and reopened anywhere like a bare sketch.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
-import os
-import struct
+import reprlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.errors import CapabilityError, ConfigError
+from repro.api.errors import ConfigError
 from repro.serialization import (
     SerializationError,
+    _read_framed,
+    _write_framed,
     decode_state,
     encode_state,
     reconstruction_errors,
     sketch_from_state,
-)
-from repro.streaming.sharded import (
-    DEFAULT_BATCH_SIZE,
-    ShardedIngestPool,
-    ShardedIngestReport,
 )
 from repro.utils.validation import require_positive_int
 
@@ -70,8 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> windows)
 WINDOW_MAGIC = b"RPWD"
 #: current window wire-format version (the ``uint16`` following the magic)
 WINDOW_WIRE_VERSION = 1
-
-_WINDOW_PREAMBLE = struct.Struct("<4sHI")  # magic, version, header length
 
 #: the supported window modes
 WINDOW_MODES = ("tumbling", "sliding", "decay")
@@ -219,52 +209,31 @@ def decode_window_container(data: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
 
     Validates the preamble and header without deserializing any pane, so
     callers that only need metadata (the sketch store's ``put`` indexing,
-    ``repro store list``) never pay for sketch reconstruction.  Every
-    failure mode names what it read: a version mismatch reports the
-    payload's embedded wire version next to the supported one, and a
-    payload whose header cannot be parsed reports the embedded version it
-    claims instead of a bare "corrupt payload" message.
+    ``repro store list``) never pay for sketch reconstruction.  The
+    preamble and header are read by the same code as a sketch payload's
+    (:mod:`repro.serialization`), and ``panes`` must list at least one
+    non-negative byte length.
     """
     data = bytes(data)
-    if len(data) < _WINDOW_PREAMBLE.size:
+    header, offset = _read_framed(data, WINDOW_MAGIC, WINDOW_WIRE_VERSION,
+                                  "window")
+    lengths = header.get("panes")
+    if not (
+        isinstance(lengths, list) and lengths
+        and all(type(length) is int and length >= 0 for length in lengths)
+    ):
         raise SerializationError(
-            f"payload of {len(data)} bytes is too short to be a "
-            "serialized window"
+            "corrupt window header: panes must be a non-empty list of "
+            f"non-negative byte lengths, got {reprlib.repr(lengths)}"
         )
-    magic, version, header_len = _WINDOW_PREAMBLE.unpack_from(data, 0)
-    if magic != WINDOW_MAGIC:
-        raise SerializationError(
-            f"bad magic {magic!r}; not a serialized window payload"
-        )
-    if version != WINDOW_WIRE_VERSION:
-        raise SerializationError(
-            f"unsupported window wire-format version {version}; this "
-            f"build reads version {WINDOW_WIRE_VERSION} — re-save the "
-            "window with a matching build"
-        )
-    start = _WINDOW_PREAMBLE.size
-    end = start + header_len
-    if len(data) < end:
-        raise SerializationError(
-            f"truncated window payload (wire version {version}): header is "
-            "incomplete"
-        )
-    try:
-        header = json.loads(data[start:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt window header in a payload written as wire version "
-            f"{version}: {exc}"
-        ) from exc
     payloads = []
-    offset = end
-    for length in header.get("panes", []):
-        length = int(length)
+    for length in lengths:
         chunk = data[offset:offset + length]
         if len(chunk) != length:
             raise SerializationError(
-                f"truncated window payload (wire version {version}): pane "
-                f"expects {length} bytes, got {len(chunk)}"
+                f"truncated window payload (wire version "
+                f"{WINDOW_WIRE_VERSION}): pane expects {length} bytes, got "
+                f"{len(chunk)}"
             )
         payloads.append(chunk)
         offset += length
@@ -278,14 +247,16 @@ class SlidingWindowSketch:
     receiving updates plus the most recent *closed* panes — and answers
     queries from a lazily-rebuilt merged view.  Built from a
     :class:`~repro.api.SketchConfig` whose ``window`` field carries the
-    :class:`WindowSpec` (or pass ``spec`` explicitly).
+    :class:`WindowSpec` (or pass ``spec`` explicitly, which the config
+    validates through ``config.replace(window=spec)``).
 
-    Sliding and decay modes require a **linear** algorithm (pane merging and
-    decay ride ``merge``/``scale``); tumbling mode also accepts
-    **exact-batchable** non-linear algorithms (the conservative-update
-    kinds), whose single pane never merges.  Every mode requires an
-    **explicit integer seed** (panes must share hash functions, and window
-    state must be reconstructible).
+    The config decides what may be windowed: sliding and decay modes
+    require a **linear** algorithm (pane merging and decay ride
+    ``merge``/``scale``); tumbling mode also accepts **exact-batchable**
+    non-linear algorithms (the conservative-update kinds), whose single
+    pane never merges.  Every mode requires an **explicit integer seed**
+    (panes must share hash functions, and window state must be
+    reconstructible).
     """
 
     def __init__(
@@ -312,32 +283,6 @@ class SlidingWindowSketch:
         if not isinstance(spec, WindowSpec):
             raise ConfigError(
                 f"window spec must be a WindowSpec, got {type(spec).__name__}"
-            )
-        if not config.spec.linear and not (
-            spec.mode == "tumbling" and config.spec.exact_batch
-        ):
-            raise CapabilityError(
-                f"sketch {config.name!r} is not a linear sketch and cannot "
-                f"use a {spec.mode} window: "
-                + (
-                    "decay windows fade history through scale()"
-                    if spec.mode == "decay"
-                    else "the sliding pane ring relies on the pane-merge "
-                    "algebra (merge/scale)"
-                )
-                + ", which the conservative-update sketches do not support"
-                + (
-                    "; tumbling windows (panes are independent and never "
-                    "merge) accept exact-batchable sketches"
-                    if config.spec.exact_batch
-                    else ""
-                )
-            )
-        if not config.portable:
-            raise ConfigError(
-                "windowed sketching requires an explicit integer seed: panes "
-                "share hash functions so they can be merged, and window "
-                "state must be reconstructible on restore"
             )
         self._config = config if config.window is spec else config.replace(window=spec)
         self._spec = spec
@@ -570,142 +515,49 @@ class SlidingWindowSketch:
             )
         return ts
 
-    def update_batch(
-        self,
-        indices,
-        deltas=None,
-        timestamps=None,
-        *,
-        shards: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        shard_resolver=None,
-        pool_factory=None,
-    ) -> Optional[ShardedIngestReport]:
-        """Apply a batch of updates in stream order, splitting it at pane
-        boundaries and feeding each segment to the then-open pane.
+    def update_batch(self, indices, deltas=None, timestamps=None, *,
+                     apply=None) -> None:
+        """Apply a batch of updates in stream order, split at pane boundaries.
 
-        ``shards > 1`` sketches each segment through the multi-core sharded
-        engine, folding the shard state straight into the open pane —
-        sharding happens *within* a pane, and shard results meet the ring
-        only at pane granularity, so the window semantics are identical to
-        the single-process path.  ``shard_resolver`` (used when ``shards``
-        is ``None``) maps a segment's update count to a worker count, so
-        auto-sharding decisions are made per within-pane segment rather than
-        for the whole batch.  ``pool_factory`` maps a shard count to a warm
-        :class:`~repro.streaming.sharded.ShardedIngestPool` (the session
-        keeps one alive across calls); without it each sharded segment pays
-        for an ephemeral pool.  Returns the last segment's
-        :class:`~repro.streaming.sharded.ShardedIngestReport` (or ``None``
-        when no segment was sharded).
+        Each within-pane segment goes to ``apply(pane, indices, deltas)``
+        with the then-open pane (default: ``pane.update_batch(indices,
+        deltas)``), and a count-based pane closes as soon as it is full.
+        A caller that shards or chunks its batches passes that decision in
+        as ``apply``, so it is made per segment and never spans a pane:
+        :class:`~repro.api.SketchSession` hands in the same code that
+        applies a bare sketch's batch.
         """
         idx, d = self._check_batch(indices, deltas)
-        if batch_size is not None:
-            batch_size = require_positive_int(batch_size, "batch_size")
-        if shards is not None:
-            shards = require_positive_int(shards, "shards")
-        report: Optional[ShardedIngestReport] = None
-        if self._spec.by == "time":
+        timed = self._spec.by == "time"
+        if timed:
             ts = self._check_timestamps(timestamps, idx.size)
-            if not idx.size:
-                return None
             panes = np.floor(ts / self._spec.pane_size).astype(np.int64)
-            cuts = np.flatnonzero(np.diff(panes)) + 1
-            for start, stop in zip(
-                np.concatenate(([0], cuts)), np.concatenate((cuts, [idx.size]))
-            ):
-                self._advance_time(float(ts[start]))
-                segment = self._apply_segment(
-                    idx[start:stop], d[start:stop], shards, batch_size,
-                    shard_resolver, pool_factory,
-                )
-                report = segment if segment is not None else report
-                self._last_timestamp = float(ts[stop - 1])
-            return report
-        if timestamps is not None:
+            cuts = (np.flatnonzero(np.diff(panes)) + 1).tolist()
+        elif timestamps is not None:
             raise ConfigError(
                 "count-based panes take no timestamps; use "
                 "WindowSpec(by='time', ...) for timestamp-driven panes"
             )
-        position = 0
-        while position < idx.size:
-            room = self._spec.pane_size - self._fill
-            if room <= 0:  # unreachable via public paths; never spin
-                self._close_pane()
-                continue
-            take = int(min(room, idx.size - position))
-            segment = self._apply_segment(
-                idx[position:position + take],
-                d[position:position + take],
-                shards,
-                batch_size,
-                shard_resolver,
-                pool_factory,
-            )
-            report = segment if segment is not None else report
-            position += take
-        return report
-
-    def _apply_segment(
-        self,
-        indices: np.ndarray,
-        deltas: np.ndarray,
-        shards: Optional[int],
-        batch_size: Optional[int],
-        shard_resolver=None,
-        pool_factory=None,
-    ) -> Optional[ShardedIngestReport]:
-        """Feed one within-pane segment to the open pane, then close it if full."""
-        if not indices.size:
-            return None
-        report: Optional[ShardedIngestReport] = None
-        if shards is None and shard_resolver is not None:
-            resolved = shard_resolver(int(indices.size))
-            shards = resolved if resolved > 1 else None
-        if shards is not None and shards > 1 and not self._config.spec.linear:
-            # tumbling panes admit exact-batchable non-linear sketches, but
-            # folding shard results into the open pane is itself a merge
-            raise CapabilityError(
-                f"sketch {self._config.name!r} is not a linear sketch and "
-                "cannot be sharded; merging shard results requires linearity"
-            )
-        if shards is not None and shards > 1:
-            # the shard state folds straight into the open pane through
-            # shared memory — no serialization at pane close
-            if pool_factory is not None:
-                pool = pool_factory(shards)
-            else:
-                pool = ShardedIngestPool(
-                    self._config.name,
-                    self._config.dimension,
-                    self._config.width,
-                    self._config.depth,
-                    self._config.seed,
-                    workers=min(shards, os.cpu_count() or 1),
-                    options=self._config.options,
-                )
-            try:
-                report = pool.ingest(
-                    indices,
-                    deltas,
-                    target=self._current,
-                    shards=shards,
-                    batch_size=batch_size or DEFAULT_BATCH_SIZE,
-                )
-            finally:
-                if pool_factory is None:
-                    pool.close()
-        elif batch_size is not None:
-            for start in range(0, indices.size, batch_size):
-                stop = start + batch_size
-                self._current.update_batch(indices[start:stop], deltas[start:stop])
         else:
-            self._current.update_batch(indices, deltas)
-        self._fill += int(indices.size)
-        self._items_total += int(indices.size)
-        self._merged = None
-        if self._spec.by == "count" and self._fill >= self._spec.pane_size:
-            self._close_pane()
-        return report
+            cuts = list(range(self._spec.pane_size - self._fill, idx.size,
+                              self._spec.pane_size))
+        if not idx.size:
+            return
+        bounds = [0, *cuts, idx.size]
+        for start, stop in zip(bounds, bounds[1:]):
+            if timed:
+                self._advance_time(float(ts[start]))
+            if apply is None:
+                self._current.update_batch(idx[start:stop], d[start:stop])
+            else:
+                apply(self._current, idx[start:stop], d[start:stop])
+            self._fill += stop - start
+            self._items_total += stop - start
+            self._merged = None
+            if timed:
+                self._last_timestamp = float(ts[stop - 1])
+            elif self._fill >= self._spec.pane_size:
+                self._close_pane()
 
     # ------------------------------------------------------------------ #
     # queries (via the merged view)
@@ -850,7 +702,7 @@ class SlidingWindowSketch:
     def to_bytes(self) -> bytes:
         """Encode the full window state in the versioned binary container.
 
-        Layout mirrors the sketch wire format of :mod:`repro.serialization`::
+        Framed like the sketch wire format of :mod:`repro.serialization`::
 
             offset  size   field
             0       4      magic  b"RPWD"
@@ -872,17 +724,8 @@ class SlidingWindowSketch:
             "meta": state["meta"],
             "panes": [len(payload) for payload in payloads],
         }
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        parts = [
-            _WINDOW_PREAMBLE.pack(
-                WINDOW_MAGIC, WINDOW_WIRE_VERSION, len(header_bytes)
-            ),
-            header_bytes,
-        ]
-        parts.extend(payloads)
-        return b"".join(parts)
+        return _write_framed(WINDOW_MAGIC, WINDOW_WIRE_VERSION, header,
+                             payloads)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlidingWindowSketch":

@@ -18,8 +18,8 @@ import pytest
 
 from repro.api import SketchConfig, SketchSession
 from repro.cli import main
-from repro.serialization import SerializationError, _PREAMBLE, WIRE_MAGIC, WIRE_VERSION
-from repro.store import SketchStore
+from repro.serialization import SerializationError, _PREAMBLE
+from repro.store import SketchStore, StoreError
 
 DIMENSION = 500
 CLEAN_ERRORS = (SerializationError, ValueError)
@@ -48,25 +48,47 @@ def window_payload():
     return session.to_bytes()
 
 
-def _header_span(payload):
-    """The ``[start, end)`` byte range of the payload's JSON header."""
-    _, _, header_len = _PREAMBLE.unpack_from(payload, 0)
-    return _PREAMBLE.size, _PREAMBLE.size + header_len
+def _reframed(payload, craft):
+    """The payload re-framed around ``craft(parsed JSON header)``.
+
+    The preamble keeps the payload's magic and version and the bytes after
+    the header follow unchanged, so only the header can fail the decode.
+    """
+    magic, version, header_len = _PREAMBLE.unpack_from(payload, 0)
+    end = _PREAMBLE.size + header_len
+    header = json.loads(payload[_PREAMBLE.size:end].decode("utf-8"))
+    header_bytes = json.dumps(
+        craft(header), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    return (
+        _PREAMBLE.pack(magic, version, len(header_bytes))
+        + header_bytes
+        + payload[end:]
+    )
 
 
 def _corrupt_header_field(payload, mutate):
     """Re-encode the payload with its parsed JSON header altered."""
-    start, end = _header_span(payload)
-    header = json.loads(payload[start:end].decode("utf-8"))
-    mutate(header)
-    header_bytes = json.dumps(
-        header, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return (
-        _PREAMBLE.pack(WIRE_MAGIC, WIRE_VERSION, len(header_bytes))
-        + header_bytes
-        + payload[end:]
-    )
+    def craft(header):
+        mutate(header)
+        return header
+
+    return _reframed(payload, craft)
+
+
+CRAFTED_WINDOW_HEADERS = [
+    pytest.param(lambda header: [], id="header-is-a-list"),
+    pytest.param(lambda header: 7, id="header-is-a-number"),
+    pytest.param(lambda header: {**header, "panes": 12},
+                 id="panes-is-a-number"),
+    pytest.param(lambda header: {**header, "panes": {"0": 12}},
+                 id="panes-is-an-object"),
+    pytest.param(lambda header: {**header, "panes": [-5]},
+                 id="negative-pane-length"),
+    pytest.param(lambda header: {**header, "panes": [1.5]},
+                 id="fractional-pane-length"),
+    pytest.param(lambda header: {**header, "panes": []}, id="no-panes"),
+]
 
 
 class TestFromBytes:
@@ -135,6 +157,40 @@ class TestFromBytes:
                     SketchSession.from_bytes(sketch_payload[:cut])
                 except struct.error:  # pragma: no cover - the old behavior
                     pytest.fail("struct.error leaked from from_bytes")
+
+
+class TestCraftedWindowHeaders:
+    """A window (``RPWD``) header that parses as JSON but is not valid.
+
+    Each entry point reads the header through the framing it shares with
+    the sketch family, so each reports the same clean error.
+    """
+
+    @pytest.mark.parametrize("craft", CRAFTED_WINDOW_HEADERS)
+    def test_from_bytes_raises_serialization_error(self, craft, window_payload):
+        with pytest.raises(SerializationError, match="corrupt window header"):
+            SketchSession.from_bytes(_reframed(window_payload, craft))
+
+    @pytest.mark.parametrize("craft", CRAFTED_WINDOW_HEADERS)
+    def test_store_put_raises_store_error(self, craft, window_payload,
+                                          tmp_path):
+        with SketchStore(tmp_path / "catalog.db") as store:
+            with pytest.raises(StoreError, match="corrupt window header"):
+                store.put("victim", _reframed(window_payload, craft))
+            assert store.list() == []
+
+    @pytest.mark.parametrize("craft", CRAFTED_WINDOW_HEADERS)
+    def test_sketch_load_exits_two_with_one_error_line(
+        self, craft, window_payload, tmp_path
+    ):
+        target = tmp_path / "crafted.window"
+        target.write_bytes(_reframed(window_payload, craft))
+        buffer = io.StringIO()
+        exit_code = main(["sketch", "load", str(target)], out=buffer)
+        output = buffer.getvalue()
+        assert exit_code == 2
+        assert output.startswith("error: corrupt window header")
+        assert len(output.strip().splitlines()) == 1
 
 
 class TestSessionOpen:

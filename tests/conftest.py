@@ -14,10 +14,23 @@ per-test where a case iterates over every registered sketch.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+# hypothesis imports its patch writer when a property test fails; its libcst
+# import raises a DeprecationWarning from mypy_extensions, which the
+# ``error::DeprecationWarning`` filter would turn into an INTERNALERROR that
+# ends the whole session.  Importing it here, once, with that warning
+# ignored for this import only, lets the failure be reported like any other.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # pragma: no cover - optional hypothesis extra
+        pass
 
 settings.register_profile(
     "ci",

@@ -13,6 +13,7 @@ from repro.core import (
     StreamingL1BiasAwareSketch,
     StreamingL2BiasAwareSketch,
 )
+from repro.core.streaming_l1 import _SortedValues
 from repro.streaming import SlidingWindowSketch, WindowSpec
 
 
@@ -235,3 +236,75 @@ class TestBiasHeapWork:
         heap_builds.clear()
         sketch.update(3, 2.5)
         assert heap_builds == []
+
+
+class TestSortedSampleWork:
+    """How many sorted-sample multisets each path of ``l1_sr_streaming`` sorts.
+
+    A restore or a ``copy()`` sorts the payload's samples once, every bulk
+    path re-sorts them once, and a scalar update replaces values in place.
+    """
+
+    DIMENSION = 400
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """One entry per ``_SortedValues`` construction."""
+        builds = []
+        original = _SortedValues.__init__
+
+        def counting(multiset, values):
+            builds.append(len(values))
+            original(multiset, values)
+
+        monkeypatch.setattr(_SortedValues, "__init__", counting)
+        return builds
+
+    def _sketch(self, rng, seed=7):
+        sketch = StreamingL1BiasAwareSketch(self.DIMENSION, 32, 3, seed=seed)
+        return sketch.fit(rng.normal(20.0, 3.0, size=self.DIMENSION))
+
+    def test_restore_and_copy_sort_once(self, rng, sorts):
+        sketch = self._sketch(rng)
+        payload = sketch.to_bytes()
+        sorts.clear()
+        restored = StreamingL1BiasAwareSketch.from_bytes(payload)
+        assert len(sorts) == 1
+        assert restored.estimate_bias() == sketch.estimate_bias()
+        sorts.clear()
+        copied = sketch.copy()
+        assert len(sorts) == 1
+        assert copied.estimate_bias() == sketch.estimate_bias()
+
+    @pytest.mark.parametrize("path", [
+        "update_batch", "fit", "merge", "scale", "fold_state",
+        "bind_state_buffers",
+    ])
+    def test_every_bulk_path_sorts_once(self, rng, sorts, path):
+        sketch = self._sketch(rng)
+        peer = self._sketch(rng)
+        state = peer.state_dict()
+        sorts.clear()
+        if path == "update_batch":
+            sketch.update_batch(rng.integers(0, self.DIMENSION, size=50))
+        elif path == "fit":
+            sketch.fit(rng.normal(20.0, 3.0, size=self.DIMENSION))
+        elif path == "merge":
+            sketch.merge(peer)
+        elif path == "scale":
+            sketch.scale(0.5)
+        elif path == "fold_state":
+            sketch.fold_state(state["arrays"], state["scalars"],
+                              state["meta"]["items_processed"])
+        else:
+            sketch.bind_state_buffers({
+                field: np.zeros(shape)
+                for field, shape in sketch.shared_state_layout()
+            })
+        assert len(sorts) == 1
+
+    def test_a_scalar_update_sorts_nothing(self, rng, sorts):
+        sketch = self._sketch(rng)
+        sorts.clear()
+        sketch.update(3, 2.5)
+        assert sorts == []

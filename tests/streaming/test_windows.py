@@ -147,12 +147,24 @@ class TestPaneRotation:
         batched.update_batch(indices, deltas)
         assert scalar.to_bytes() == batched.to_bytes()
 
-    def test_chunked_batches_match_one_call(self, rng):
+    def test_chunked_batches_match_one_call(self, rng, monkeypatch):
         indices = rng.integers(0, DIMENSION, size=230)
-        one, chunked = sliding(), sliding()
-        one.update_batch(indices)
-        chunked.update_batch(indices, batch_size=17)
+        windowed = config(mode="sliding", panes=3, pane_size=60)
+        one = SketchSession.from_config(windowed).ingest(indices)
+        chunked = SketchSession.from_config(windowed)
+        pane_class = type(chunked.window.view())
+        original = pane_class.update_batch
+        calls = []
+
+        def recording(pane, idx, deltas=None):
+            calls.append(len(idx))
+            return original(pane, idx, deltas)
+
+        monkeypatch.setattr(pane_class, "update_batch", recording)
+        chunked.ingest(indices, batch_size=17)
         assert one.to_bytes() == chunked.to_bytes()
+        # the session chunks each within-pane segment: no chunk spans a pane
+        assert calls == [17, 17, 17, 9] * 3 + [17, 17, 16]
 
 
 class TestTimeBasedPanes:
@@ -235,43 +247,6 @@ class TestEngineGuards:
     def test_engine_requires_sketch_config(self):
         with pytest.raises(ConfigError, match="SketchConfig"):
             SlidingWindowSketch("count_min")
-
-
-class TestShardedSegments:
-    def test_sharding_without_a_pool_factory_uses_a_closed_ephemeral_pool(
-        self, rng, monkeypatch
-    ):
-        from multiprocessing import shared_memory
-
-        from repro.streaming import windows
-
-        pools, segments = [], []
-
-        class RecordingPool(windows.ShardedIngestPool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-            def close(self):
-                segments.extend(self.segment_names())
-                super().close()
-
-        monkeypatch.setattr(windows, "ShardedIngestPool", RecordingPool)
-        indices = rng.integers(0, DIMENSION, size=2_000)
-        inline = sliding(panes=3, pane_size=600)
-        inline.update_batch(indices)
-        sharded = sliding(panes=3, pane_size=600)
-        report = sharded.update_batch(indices, shards=2)
-
-        assert sharded.to_bytes() == inline.to_bytes()
-        assert report is not None and report.updates <= 600
-        # one ephemeral pool per within-pane segment, each closed on return
-        assert len(pools) == 4
-        assert all(pool.closed for pool in pools)
-        assert segments
-        for name in segments:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name).close()
 
 
 class TestWindowWireFormat:
@@ -527,11 +502,15 @@ class TestTumblingConservativeUpdate:
 
     @pytest.mark.parametrize("name", CU_KINDS)
     def test_tumbling_cu_window_cannot_shard(self, name):
-        window = SlidingWindowSketch(
+        session = SketchSession.from_config(
             config(name, mode="tumbling", pane_size=100)
         )
+        before = session.to_bytes()
         with pytest.raises(CapabilityError, match="cannot be sharded"):
-            window.update_batch(np.arange(10), shards=4)
+            session.ingest(np.arange(10), shards=2)
+        # refused before any update reached the pane
+        assert session.items_processed == 0
+        assert session.to_bytes() == before
 
     @pytest.mark.parametrize("name", CU_KINDS)
     def test_tumbling_cu_session_end_to_end(self, name):

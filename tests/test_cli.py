@@ -559,13 +559,13 @@ class TestLoadReportsEmbeddedWireVersion:
             assert needle in output
 
     def test_older_window_wire_version_is_reported(self, tmp_path):
-        from repro.streaming.windows import _WINDOW_PREAMBLE
+        from repro.serialization import _PREAMBLE
 
         path = self._window_payload(tmp_path)
         payload = path.read_bytes()
-        magic, _, header_len = _WINDOW_PREAMBLE.unpack_from(payload, 0)
-        path.write_bytes(_WINDOW_PREAMBLE.pack(magic, 0, header_len)
-                         + payload[_WINDOW_PREAMBLE.size:])
+        magic, _, header_len = _PREAMBLE.unpack_from(payload, 0)
+        path.write_bytes(_PREAMBLE.pack(magic, 0, header_len)
+                         + payload[_PREAMBLE.size:])
         code, output = run_cli("sketch", "load", str(path))
         self.assert_one_line_error(code, output, "version 0",
                                    "reads version 1")
@@ -573,9 +573,9 @@ class TestLoadReportsEmbeddedWireVersion:
     def test_corrupt_window_header_names_the_embedded_version(self, tmp_path):
         path = self._window_payload(tmp_path)
         payload = bytearray(path.read_bytes())
-        from repro.streaming.windows import _WINDOW_PREAMBLE
+        from repro.serialization import _PREAMBLE
 
-        payload[_WINDOW_PREAMBLE.size] = ord("!")  # break the JSON header
+        payload[_PREAMBLE.size] = ord("!")  # break the JSON header
         path.write_bytes(bytes(payload))
         code, output = run_cli("sketch", "load", str(path))
         self.assert_one_line_error(code, output, "wire version 1",
@@ -586,9 +586,9 @@ class TestLoadReportsEmbeddedWireVersion:
     ):
         path = self._window_payload(tmp_path)
         payload = path.read_bytes()
-        from repro.streaming.windows import _WINDOW_PREAMBLE
+        from repro.serialization import _PREAMBLE
 
-        path.write_bytes(payload[:_WINDOW_PREAMBLE.size + 4])
+        path.write_bytes(payload[:_PREAMBLE.size + 4])
         code, output = run_cli("sketch", "load", str(path))
         self.assert_one_line_error(code, output, "truncated window payload",
                                    "wire version 1")
