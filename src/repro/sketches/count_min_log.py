@@ -67,9 +67,6 @@ class CountMinLogCU(_ConservativeUpdateSketch):
         self.base = base
         self._log_base = math.log(base)
         self._rng = as_rng(derive_seed(seed, 303))
-        # lazily-built exact conversion tables for the segmented batch path;
-        # derived state only (never serialized — rebuilt on first batch)
-        self._codec = None
 
     # ------------------------------------------------------------------ #
     # log-counter arithmetic
@@ -85,10 +82,11 @@ class CountMinLogCU(_ConservativeUpdateSketch):
         return math.log(value * (self.base - 1.0) + 1.0) / self._log_base
 
     def _log_codec(self) -> _cu_batch.LogCounterCodec:
-        """The exact conversion tables, built on first use."""
-        if self._codec is None:
-            self._codec = _cu_batch.LogCounterCodec(self.base, self._log_base)
-        return self._codec
+        """The exact conversion tables, shared by every sketch of this base.
+
+        Derived state only: never serialized, built on first use.
+        """
+        return _cu_batch.shared_log_codec(self.base)
 
     def _randomised_round(self, counter: float) -> float:
         """Round a fractional counter to an integer, unbiasedly in counter space."""
