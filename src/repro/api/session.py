@@ -33,7 +33,7 @@ import functools
 import math
 import os
 from pathlib import Path
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -476,6 +476,20 @@ class SketchSession:
         # 1-D coordinates (+ optional deltas)
         return self._ingest_updates(arr, deltas, batch_size, shards, timestamps)
 
+    def check_batch(
+        self, indices: Any, deltas: Any = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Check a coordinate batch as :meth:`ingest` would, applying nothing.
+
+        Raises what ``ingest(indices, deltas)`` raises for the keys and
+        deltas themselves (a conservative-update kind refuses a negative
+        delta, say); returns the checked ``(int64 indices, float64
+        deltas)``.  A server runs it on each ingest frame, so a batch its
+        writer would drop is refused on the connection.
+        """
+        target = self._sketch if self._window is None else self._window
+        return target._check_batch(indices, deltas)
+
     def _ingest_updates(
         self,
         indices: Any,
@@ -496,7 +510,7 @@ class SketchSession:
         if self._window is not None:
             self._window.update_batch(indices, deltas, timestamps, apply=apply)
         else:
-            apply(self._sketch, *self._sketch._check_batch(indices, deltas))
+            apply(self._sketch, *self.check_batch(indices, deltas))
         return self
 
     def _apply(

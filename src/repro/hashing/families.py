@@ -5,17 +5,37 @@ over GF(p) with p = 2^61 - 1, reduced modulo the target range::
 
     h(x) = (a_{k-1} x^{k-1} + ... + a_1 x + a_0 mod p) mod range_size
 
-For k = 2 this is the classical pairwise-independent multiply-mod-prime
-construction used by Count-Min / Count-Median / Count-Sketch.  Evaluation is
-available both element-wise (``__call__`` on a python int) and vectorised over
-numpy index arrays (``hash_array`` / ``hash_all``), which is what makes the
-numpy sketching path fast.
+where ``x`` is the key after the splitmix64 finalizer, reduced mod p.  For
+k = 2 this is the classical pairwise-independent multiply-mod-prime
+construction used by Count-Min / Count-Median / Count-Sketch; the paper's
+analysis needs only second moments (Section 4.4), so every sketch uses it.
+Payloads carry only the seed, so the hash values are part of the wire format.
 
-The arithmetic is done with python integers when evaluating scalars (exact,
-no overflow concerns) and with ``object``-free numpy ``uint64`` arithmetic via
-128-bit emulation when evaluating arrays.  Because p < 2^61 and coefficients
-are < p, the product a*x can exceed 64 bits; we therefore split operands into
-high/low 32-bit halves for the vectorised path.
+Three evaluators compute the same values exactly:
+
+* ``KWiseHash.__call__``: one key, in python integers; the reference.
+* :func:`hash_key`: every hash of a family on one key, mixing it once.
+* :func:`hash_matrix`: a family on a batch of keys, in numpy ``uint64``.
+  ``hash_array`` and ``hash_all`` are one-row calls of it, and every
+  vectorised sign evaluator of :mod:`repro.hashing.signs` runs on it.
+
+:func:`hash_matrix` evaluates the polynomial by Horner's rule, one step
+``(a·x + c) mod p`` at a time (``a`` the accumulator, ``c`` the next
+coefficient), in place in three ``(depth, n)`` uint64 buffers
+(:func:`_horner_step`).  With ``a, x < p`` the product reaches
+2^122, so both are split into 32-bit halves, ``a = a_hi·2^32 + a_lo`` and
+``x = x_hi·2^32 + x_lo`` (``a_hi, x_hi < 2^29``), and each partial product
+is reduced with ``2^61 ≡ 1 (mod p)``:
+
+* ``lo = a_lo·x_lo < 2^64`` folds once, ``(lo >> 61) + (lo & p) < p + 8``;
+* ``mid = a_hi·x_lo + a_lo·x_hi < 2^62``, and ``mid·2^32 ≡ (mid >> 29) +
+  ((mid & (2^29 - 1)) << 32)``, which is below ``2^61 + 2^33`` with no fold;
+* ``a_hi·x_hi·2^64 ≡ (a_hi·x_hi) << 3``, which is below 2^61;
+* their sum plus ``c < p`` stays below ``2^63 + 2^34``, so one fold (to at
+  most ``p + 4``) and one conditional subtract land in ``[0, p)``.
+
+The range is then reduced in the same buffer, with ``&`` when
+``range_size`` is a power of two and with ``%`` otherwise.
 """
 
 from __future__ import annotations
@@ -78,9 +98,6 @@ def _fold61(x: np.ndarray) -> np.ndarray:
     Uses the Mersenne identity ``2^61 ≡ 1 (mod p)``: writing
     ``x = q·2^61 + r`` gives ``x ≡ q + r``, and ``q + r < p + 9`` for any
     64-bit ``x``, so one conditional subtract completes the reduction.
-    Shift/mask/where run at SIMD speed where the ``%`` ufunc (integer
-    division) does not — this is what makes on-demand hashing cheap enough
-    to replace the precomputed bucket tables.
     """
     p = np.uint64(MERSENNE_PRIME_61)
     folded = (x >> np.uint64(61)) + (x & p)
@@ -90,40 +107,46 @@ def _fold61(x: np.ndarray) -> np.ndarray:
     return np.minimum(folded, folded - p)
 
 
-def _mulmod_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compute ``(a * b) mod MERSENNE_PRIME_61`` element-wise without overflow.
+def _horner_step(a, x_hi: np.ndarray, x_lo: np.ndarray, c: np.ndarray,
+                 out: np.ndarray, mid: np.ndarray, tmp: np.ndarray) -> None:
+    """``out = (a·x + c) mod p`` in place, with ``x = x_hi·2^32 + x_lo``.
 
-    Both inputs must be ``uint64`` arrays with values < 2^61.  The product is
-    formed from 32-bit halves and every partial reduction uses the
-    division-free :func:`_fold61`; the result is bit-identical to the
-    classical ``%``-based reduction.
+    ``a`` (``< p``) is a ``(depth, 1)`` column on the first step and
+    ``out`` itself on later ones (its halves are copied before ``out`` is
+    overwritten); ``x`` (``< p``) is the ``(n,)`` key row and ``c`` the
+    ``(depth, 1)`` coefficients.  ``out``, ``mid`` and ``tmp`` are
+    ``(depth, n)`` uint64 buffers; a first step makes no other full-size
+    array.  The bounds that keep every partial sum inside 64 bits are in
+    the module docstring.
     """
-    a = a.astype(np.uint64, copy=False)
-    b = b.astype(np.uint64, copy=False)
+    p = np.uint64(MERSENNE_PRIME_61)
     a_hi = a >> np.uint64(32)
     a_lo = a & np.uint64(_MASK_32)
-    b_hi = b >> np.uint64(32)
-    b_lo = b & np.uint64(_MASK_32)
-
-    # a*b = (a_hi*b_hi << 64) + ((a_hi*b_lo + a_lo*b_hi) << 32) + a_lo*b_lo
-    # Each partial product is reduced with the Mersenne fold, using
-    # 2^64 ≡ 8 (mod p) for the high term and a 29/32-bit split for the
-    # middle term's 2^32 factor.
-    lo = a_lo * b_lo  # < 2^64, fits
-    mid = a_hi * b_lo + a_lo * b_hi  # < 2^62, fits
-    hi = a_hi * b_hi  # < 2^58, fits
-
-    # Contribution of hi: hi * 2^64 ≡ hi * 8 (mod p); hi*8 < 2^61 so one fold
-    term_hi = _fold61(hi * np.uint64(8))
-    # Contribution of mid: mid * 2^32 (mod p).  Fold mid below p first, then
-    # split into top 32 / bottom 29 bits so the << 32 stays inside 64 bits.
-    mid_mod = _fold61(mid)
-    mid_hi = mid_mod >> np.uint64(29)  # multiplying by 2^32 shifts past bit 61
-    mid_lo = mid_mod & np.uint64((1 << 29) - 1)
-    term_mid = _fold61(mid_hi + (mid_lo << np.uint64(32)))
-    term_lo = _fold61(lo)
-
-    return _fold61(term_hi + term_mid + term_lo)
+    # a_hi·x_hi·2^64 ≡ (a_hi·x_hi) << 3, which is below 2^61
+    np.multiply(a_hi << np.uint64(3), x_hi, out=out)
+    out += c
+    # mid·2^32 ≡ (mid >> 29) + ((mid & (2^29 - 1)) << 32), with mid < 2^62
+    np.multiply(a_hi, x_lo, out=mid)
+    np.multiply(a_lo, x_hi, out=tmp)
+    mid += tmp
+    np.right_shift(mid, np.uint64(29), out=tmp)
+    out += tmp
+    mid &= np.uint64((1 << 29) - 1)
+    mid <<= np.uint64(32)
+    out += mid
+    # lo < 2^64 folds once to below p + 8
+    np.multiply(a_lo, x_lo, out=mid)
+    np.right_shift(mid, np.uint64(61), out=tmp)
+    out += tmp
+    mid &= p
+    out += mid
+    # out < 2^63 + 2^34: one fold and one conditional subtract (as in
+    # _fold61) land in [0, p)
+    np.right_shift(out, np.uint64(61), out=tmp)
+    out &= p
+    out += tmp
+    np.subtract(out, p, out=tmp)
+    np.minimum(out, tmp, out=out)
 
 
 class KWiseHash:
@@ -170,16 +193,8 @@ class KWiseHash:
         return acc % self.range_size
 
     def hash_array(self, items: Sequence[int]) -> np.ndarray:
-        """Vectorised evaluation over an array of non-negative integers."""
-        arr = np.asarray(items, dtype=np.uint64)
-        mixed = _fold61(_mix_array(arr))
-        # Horner evaluation seeded with the leading coefficient (the first
-        # iteration of the classical loop is a multiply by zero)
-        acc = np.full(arr.shape, np.uint64(self.coefficients[0]))
-        for coefficient in self.coefficients[1:]:
-            acc = _mulmod_arrays(acc, mixed)
-            acc = _fold61(acc + np.uint64(coefficient))
-        return (acc % np.uint64(self.range_size)).astype(np.int64)
+        """Vectorised evaluation over a 1-D array of non-negative integers."""
+        return hash_matrix([self], items)[0]
 
     def hash_all(self, domain_size: int) -> np.ndarray:
         """Evaluate the hash on every item of ``[0, domain_size)`` at once."""
@@ -203,14 +218,15 @@ class PairwiseHash(KWiseHash):
 def hash_matrix(hashes: Sequence[KWiseHash], items) -> np.ndarray:
     """Fused row-stacked evaluation of a whole hash family on a batch of keys.
 
-    Returns the ``(len(hashes), len(items))`` bucket matrix whose row ``r``
-    equals ``hashes[r].hash_array(items)``, evaluated in **one** vectorised
-    pass: the splitmix64 finalizer runs once for the whole batch (it is
-    shared by every row) and the per-row polynomials are evaluated on a
-    row-stacked ``(depth, k)`` coefficient matrix with broadcasting.  The
-    outputs are bit-identical to the per-row ``hash_array`` path — this is
-    what lets the sketch tables compute bucket assignments on demand instead
-    of materialising a ``(depth, dimension)`` table at construction.
+    Returns the C-ordered ``(len(hashes), len(items))`` bucket matrix whose
+    entry ``(r, j)`` is ``hashes[r](items[j])``.  The splitmix64
+    finalizer runs once for the whole batch (it is shared by every row), and
+    each Horner step of the row polynomials runs in place over the
+    ``(depth, n)`` buffers of :func:`_horner_step`.  The range is reduced
+    with ``&`` when ``range_size`` is a power of two and with ``%``
+    otherwise, in the same buffer, which comes back viewed as int64.  This
+    is what lets the sketch tables compute bucket assignments on demand
+    instead of materialising a ``(depth, dimension)`` table at construction.
 
     All hashes must share ``range_size`` and ``independence`` (they do for
     every table built by :func:`hash_family`).
@@ -228,21 +244,47 @@ def hash_matrix(hashes: Sequence[KWiseHash], items) -> np.ndarray:
     arr = np.asarray(items, dtype=np.uint64)
     if arr.ndim != 1:
         raise ValueError(f"items must be 1-D, got shape {arr.shape}")
-    mixed = _fold61(_mix_array(arr))[None, :]
     coefficients = np.array(
         [h.coefficients for h in hashes], dtype=np.uint64
     )
-    # Horner evaluation seeded with each row's leading coefficient (the
-    # first iteration of the classical loop is a multiply by zero); the
-    # (depth, 1) seed broadcasts through _mulmod_arrays
-    acc = coefficients[:, 0][:, None]
-    for degree in range(1, independence):
-        acc = _mulmod_arrays(acc, mixed)
-        acc = _fold61(acc + coefficients[:, degree][:, None])
-    # for independence >= 2 this is already full-shape; a degree-0 polynomial
-    # (constant hash) still needs the (depth, 1) seed broadcast out
-    acc = np.broadcast_to(acc, (len(hashes), arr.size))
-    return (acc % np.uint64(range_size)).astype(np.int64)
+    out = np.empty((len(hashes), arr.size), dtype=np.uint64)
+    if independence == 1:
+        # a degree-0 polynomial is a constant hash
+        out[:] = coefficients
+    else:
+        x = _fold61(_mix_array(arr))
+        x_hi = x >> np.uint64(32)
+        x_lo = x & np.uint64(_MASK_32)
+        mid, tmp = np.empty_like(out), np.empty_like(out)
+        # Horner evaluation seeded with each row's leading coefficient (the
+        # first iteration of the classical loop is a multiply by zero)
+        acc = coefficients[:, :1]
+        for degree in range(1, independence):
+            _horner_step(acc, x_hi, x_lo, coefficients[:, degree:degree + 1],
+                         out, mid, tmp)
+            acc = out
+    if range_size & (range_size - 1) == 0:
+        out &= np.uint64(range_size - 1)
+    else:
+        np.remainder(out, np.uint64(range_size), out=out)
+    return out.view(np.int64)
+
+
+def hash_key(hashes: Sequence[KWiseHash], item: int) -> List[int]:
+    """Every hash of a family on one non-negative key, in exact integers.
+
+    Equals ``[h(item) for h in hashes]`` but runs the splitmix64 finalizer
+    once for the whole family, where each ``h(item)`` would re-run it.
+    """
+    x = _mix_scalar(int(item)) % MERSENNE_PRIME_61
+    buckets = []
+    for h in hashes:
+        # the polynomial's exact value, reduced mod p once
+        acc = 0
+        for coefficient in h.coefficients:
+            acc = acc * x + coefficient
+        buckets.append(acc % MERSENNE_PRIME_61 % h.range_size)
+    return buckets
 
 
 def hash_family(

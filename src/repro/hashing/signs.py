@@ -11,7 +11,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.hashing.families import KWiseHash, hash_matrix
+from repro.hashing.families import KWiseHash, hash_key, hash_matrix
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import require_positive_int
 
@@ -28,9 +28,8 @@ class SignHash:
         return 1 if self._bit_hash(item) == 1 else -1
 
     def sign_array(self, items: Sequence[int]) -> np.ndarray:
-        """Vectorised evaluation returning an int8 array of ±1."""
-        bits = self._bit_hash.hash_array(items)
-        return (2 * bits - 1).astype(np.int8)
+        """Vectorised evaluation over a 1-D array, returning int8 ±1."""
+        return sign_matrix([self], items)[0]
 
     def sign_all(self, domain_size: int) -> np.ndarray:
         """Evaluate the sign function on every item of ``[0, domain_size)``."""
@@ -44,15 +43,27 @@ class SignHash:
 def sign_matrix(signs: Sequence[SignHash], items) -> np.ndarray:
     """Fused row-stacked evaluation of a sign family on a batch of keys.
 
-    Returns the ``(len(signs), len(items))`` ±1 matrix whose row ``r`` equals
-    ``signs[r].sign_array(items)``, computed with one fused
+    Returns the ``(len(signs), len(items))`` int8 ±1 matrix whose entry
+    ``(r, j)`` is ``signs[r](items[j])``, computed with one fused
     :func:`~repro.hashing.families.hash_matrix` pass over the underlying bit
-    hashes — bit-identical to the per-row path.
+    hashes.
     """
     if not signs:
         raise ValueError("sign_matrix needs at least one sign function")
     bits = hash_matrix([sign._bit_hash for sign in signs], items)
-    return (2 * bits - 1).astype(np.int8)
+    # the fresh bucket buffer becomes 2·bit - 1 in place
+    bits <<= 1
+    bits -= 1
+    return bits.astype(np.int8)
+
+
+def sign_key(signs: Sequence[SignHash], item: int) -> List[int]:
+    """Every sign of a family on one key, mixing the key once.
+
+    Equals ``[r(item) for r in signs]``; see
+    :func:`~repro.hashing.families.hash_key`.
+    """
+    return [2 * bit - 1 for bit in hash_key([r._bit_hash for r in signs], item)]
 
 
 def sign_family(

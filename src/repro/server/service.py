@@ -492,9 +492,12 @@ class ReproServer:
         if "count" not in header:
             raise ProtocolError("ingest frames must carry a 'count' field")
         indices, deltas = unpack_updates(payload, header["count"])
-        self._validate_keys(indices)
-        if not np.all(np.isfinite(deltas)):
-            raise ConfigError("deltas must contain only finite values")
+        # the session's own batch checks (key range, finite deltas, the
+        # kind's delta rule): a batch the writer would drop is refused here
+        try:
+            self._session.check_batch(indices, deltas)
+        except IndexError as exc:  # a key outside the sketch's universe
+            raise ConfigError(str(exc)) from None
         if indices.size:
             await self._queue.put(_Batch(indices, deltas))
             self._accepted_updates += indices.size
@@ -508,22 +511,6 @@ class ReproServer:
             },
             b"",
         )
-
-    def _validate_keys(self, indices: np.ndarray) -> None:
-        """Reject out-of-range keys eagerly, on the submitting connection."""
-        if not indices.size:
-            return
-        low = int(indices.min())
-        if low < 0:
-            raise ConfigError(f"update keys must be non-negative, got {low}")
-        dimension = self._session.dimension
-        if dimension is not None:
-            high = int(indices.max())
-            if high >= dimension:
-                raise ConfigError(
-                    f"update key {high} is out of range for dimension "
-                    f"{dimension}"
-                )
 
     async def _op_query(
         self, header: Dict[str, Any], payload: bytes

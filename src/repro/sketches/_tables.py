@@ -50,8 +50,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hashing.families import KWiseHash, hash_family, hash_matrix
-from repro.hashing.signs import SignHash, sign_family, sign_matrix
+from repro.hashing.families import (
+    KWiseHash, hash_family, hash_key, hash_matrix,
+)
+from repro.hashing.signs import SignHash, sign_family, sign_key, sign_matrix
 from repro.sketches.base import SCAN_BLOCK, _bound_buffer
 from repro.utils.rng import RandomSource, derive_seed
 
@@ -292,10 +294,9 @@ class HashedCounterTable:
         if index < self._cache_limit:
             self._ensure_hot_cache()
             return self._bucket_cache[:, index]
-        # cold scalar path: the exact-integer scalar evaluator beats
-        # one-element numpy array machinery by several microseconds per
-        # update (bit-identical results)
-        return np.array([h(index) for h in self.hashes], dtype=np.int64)
+        # cold scalar path: exact integers, mixing the key once, beat
+        # one-element numpy array machinery by several microseconds
+        return np.array(hash_key(self.hashes, index), dtype=np.int64)
 
     def _require_signed(self) -> None:
         if not self.signed:
@@ -320,7 +321,7 @@ class HashedCounterTable:
         if index < self._cache_limit:
             self._ensure_hot_cache()
             return self._sign_cache[:, index]
-        return np.array([r(index) for r in self.signs], dtype=np.float64)
+        return np.array(sign_key(self.signs, index), dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # ingestion

@@ -52,8 +52,9 @@ from repro.utils.rng import RandomSource
 class _ConservativeUpdateSketch(Sketch):
     """What the two conservative-update kinds share.
 
-    One unsigned counter table, dense vectors that must be non-negative,
-    and a :meth:`merge` that raises :class:`~repro.api.CapabilityError`.
+    One unsigned counter table, deltas and dense vectors that must be
+    non-negative, and a :meth:`merge` that raises
+    :class:`~repro.api.CapabilityError`.
     A dense vector is ingested by the default :meth:`Sketch.fit`: one
     weighted conservative update per non-zero coordinate, in increasing
     index order, through the segmented batch path — for CML-CU the draw
@@ -86,6 +87,29 @@ class _ConservativeUpdateSketch(Sketch):
             )
         return arr
 
+    def _negative_delta(self) -> ValueError:
+        return ValueError(
+            f"{self._labels[0]} only supports non-negative increments"
+        )
+
+    def _check_delta(self, delta) -> float:
+        delta = super()._check_delta(delta)
+        if delta < 0:
+            raise self._negative_delta()
+        return delta
+
+    def _check_batch(self, indices, deltas):
+        """Every kind's batch checks, then the cash-register rule.
+
+        A server runs this at the door too (through
+        :meth:`~repro.api.SketchSession.check_batch`), so it refuses on the
+        connection any batch its writer would drop.
+        """
+        idx, d = super()._check_batch(indices, deltas)
+        if np.any(d < 0):
+            raise self._negative_delta()
+        return idx, d
+
     def merge(self, other) -> "_ConservativeUpdateSketch":
         """Conservative update is not linear; merging is undefined."""
         # local import: repro.api.errors is below the sketch layer only at
@@ -110,10 +134,6 @@ class CountMinCU(_ConservativeUpdateSketch):
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
         delta = self._check_delta(delta)
-        if delta < 0:
-            raise ValueError(
-                "conservative update only supports non-negative increments"
-            )
         if delta == 0:
             return
         cols = self._table.bucket_column(index)
@@ -136,10 +156,6 @@ class CountMinCU(_ConservativeUpdateSketch):
         transient memory stays O(depth × block) however large the batch.
         """
         idx, d = self._check_batch(indices, deltas)
-        if np.any(d < 0):
-            raise ValueError(
-                "conservative update only supports non-negative increments"
-            )
         if idx.size == 0:
             return self
         applied = int(np.count_nonzero(d))

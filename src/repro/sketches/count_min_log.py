@@ -102,10 +102,6 @@ class CountMinLogCU(_ConservativeUpdateSketch):
     def update(self, index: int, delta: float = 1.0) -> None:
         index = self._check_index(index)
         delta = self._check_delta(delta)
-        if delta < 0:
-            raise ValueError(
-                "Count-Min-Log only supports non-negative increments"
-            )
         if delta == 0:
             return
         cols = self._table.bucket_column(index)
@@ -133,10 +129,6 @@ class CountMinLogCU(_ConservativeUpdateSketch):
         large the batch.
         """
         idx, d = self._check_batch(indices, deltas)
-        if np.any(d < 0):
-            raise ValueError(
-                "Count-Min-Log only supports non-negative increments"
-            )
         # zero-delta updates consume no draw on the scalar path either;
         # drop them before anything touches the generator
         live = d != 0

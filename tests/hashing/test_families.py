@@ -1,5 +1,7 @@
 """Unit tests for the k-wise independent hash families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,15 @@ from repro.hashing.families import (
     MERSENNE_PRIME_61,
     KWiseHash,
     PairwiseHash,
+    _MIX_INCREMENT,
+    _MIX_MULTIPLIER_1,
+    _MIX_MULTIPLIER_2,
+    _mix_scalar,
     hash_family,
+    hash_key,
+    hash_matrix,
 )
+from repro.hashing.signs import SignHash, sign_key, sign_matrix
 
 
 class TestKWiseHashBasics:
@@ -69,6 +78,68 @@ class TestVectorisedAgreement:
         scalar = [h(int(v)) for v in huge]
         np.testing.assert_array_equal(vectorised, scalar)
         assert all(0 <= value < 10 for value in vectorised)
+
+
+def _unmix(value: int) -> int:
+    """The key whose splitmix64 mix is ``value`` (the finalizer is a bijection)."""
+    mask = (1 << 64) - 1
+
+    def unshift(v: int, shift: int) -> int:
+        # inverse of v ^= v >> shift
+        result = v
+        for step in range(shift, 64, shift):
+            result ^= v >> step
+        return result
+
+    value = unshift(value, 31)
+    value = (value * pow(_MIX_MULTIPLIER_2, -1, 1 << 64)) & mask
+    value = unshift(value, 27)
+    value = (value * pow(_MIX_MULTIPLIER_1, -1, 1 << 64)) & mask
+    value = unshift(value, 30)
+    return (value - _MIX_INCREMENT) & mask
+
+
+#: raw keys at the uint64 and field edges, then keys whose mixed value
+#: (the polynomial's argument x) sits at the 32-bit split and field edges
+_EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**61 - 2, 2**61 - 1, 2**61,
+              2**63 - 1, 2**64 - 1]
+_EDGE_KEYS += [_unmix(x) for x in (0, 1, 2**32 - 1, 2**32,
+                                   MERSENNE_PRIME_61 - 1, MERSENNE_PRIME_61,
+                                   2**64 - 1)]
+_EDGE_COEFFICIENTS = [0, 1, 2**32 - 1, 2**32, MERSENNE_PRIME_61 - 1]
+
+
+def test_unmix_inverts_the_mixer():
+    assert _mix_scalar(_unmix(MERSENNE_PRIME_61 - 1)) == MERSENNE_PRIME_61 - 1
+    assert _mix_scalar(_unmix(2**64 - 1)) == 2**64 - 1
+
+
+@pytest.mark.parametrize("independence", [1, 2, 3, 4])
+@pytest.mark.parametrize("width", [1, 2, 1000, 2048, 2**16])
+def test_kernel_matches_scalar_oracle_at_its_bounds(width, independence):
+    """hash_matrix / sign_matrix equal the exact-integer __call__s at the
+    edges of every partial product's bound."""
+    hashes, signs = [], []
+    # one row per pair of edge values, repeated over the coefficient slots
+    pairs = itertools.product(_EDGE_COEFFICIENTS, repeat=2)
+    for row, pair in enumerate(pairs):
+        coefficients = list(pair * 2)[:independence]
+        h = KWiseHash(width, independence=independence, seed=row)
+        h.coefficients = coefficients
+        hashes.append(h)
+        r = SignHash(independence=independence, seed=row)
+        r._bit_hash.coefficients = list(coefficients)
+        signs.append(r)
+    keys = np.array(_EDGE_KEYS, dtype=np.uint64)
+    expected = np.array([[h(key) for key in _EDGE_KEYS] for h in hashes])
+    np.testing.assert_array_equal(hash_matrix(hashes, keys), expected)
+    expected_signs = np.array([[r(key) for key in _EDGE_KEYS] for r in signs])
+    np.testing.assert_array_equal(sign_matrix(signs, keys), expected_signs)
+    # the cold scalar path of the counter tables
+    assert [hash_key(hashes, key) for key in _EDGE_KEYS] == expected.T.tolist()
+    assert [sign_key(signs, key) for key in _EDGE_KEYS] == (
+        expected_signs.T.tolist()
+    )
 
 
 class TestDistributionQuality:

@@ -4,7 +4,8 @@ For every registered sketch the refactor's contract is checked from first
 principles: walk the sketch's internal ``HashedCounterTable`` instances and
 compare the on-demand bucket/sign assignments against the dense tables the
 old constructor would have precomputed from the same seed (regenerated here
-via the per-row ``hash_all`` / ``sign_all`` evaluators, which are unchanged).
+via the per-row ``hash_all`` / ``sign_all`` evaluators); cold keys are checked
+against the exact-integer scalar ``__call__`` evaluators.
 A second family re-checks that ``to_bytes``/``from_bytes`` round-trips stay
 byte-stable across the refactor under arbitrary integer streams.
 """
@@ -82,11 +83,15 @@ def test_cold_keys_match_hot_cache_assignments(seed):
     fused = table.bucket_columns(keys)
     per_key = np.column_stack([table.bucket_column(int(k)) for k in keys])
     np.testing.assert_array_equal(fused, per_key)
-    expected = np.vstack([h.hash_array(keys) for h in table.hashes])
+    # the exact-integer scalar evaluators are the oracle: hash_array and
+    # sign_array share the fused kernel under test
+    expected = np.array([[h(int(k)) for k in keys] for h in table.hashes])
     np.testing.assert_array_equal(fused, expected)
+    expected_signs = np.array([[r(int(k)) for k in keys] for r in table.signs])
+    np.testing.assert_array_equal(table.sign_columns(keys), expected_signs)
     np.testing.assert_array_equal(
-        table.sign_columns(keys),
-        np.vstack([r.sign_array(keys) for r in table.signs]),
+        np.column_stack([table.sign_column(int(k)) for k in keys]),
+        expected_signs,
     )
 
 

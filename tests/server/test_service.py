@@ -116,6 +116,31 @@ class TestIngestAndQuery:
         assert stats["updates_accepted"] == 0
         assert stats["batches_rejected"] == 0
 
+    @pytest.mark.parametrize("algorithm",
+                             ["count_min_cu", "count_min_log_cu"])
+    def test_batch_the_writer_would_drop_is_rejected_at_the_door(
+            self, algorithm):
+        """A conservative-update server refuses a negative delta on the
+        connection instead of acknowledging a batch its writer drops."""
+        config = ServerConfig(sketch=sketch_config(algorithm=algorithm),
+                              snapshot_interval=0.05)
+        handle = ServerHandle.start(config)
+        try:
+            with Client(handle.host, handle.port) as client:
+                with pytest.raises(RemoteOperationError,
+                                   match="non-negative increments") \
+                        as excinfo:
+                    client.ingest([1, 2, 3], [1.0, -1.0, 2.0])
+                assert excinfo.value.code == "config"
+                client.ingest([1, 2], [1.0, 2.0])
+                client.flush()
+                stats = client.stats()
+                assert stats["updates_accepted"] == 2
+                assert stats["updates_applied"] == 2
+                assert stats["batches_rejected"] == 0
+        finally:
+            handle.stop()
+
 
 class TestStalenessContract:
     def test_snapshot_is_bit_identical_to_reported_epoch(self, client):
