@@ -255,7 +255,12 @@ def hash_matrix(hashes: Sequence[KWiseHash], items) -> np.ndarray:
         x = _fold61(_mix_array(arr))
         x_hi = x >> np.uint64(32)
         x_lo = x & np.uint64(_MASK_32)
-        mid, tmp = np.empty_like(out), np.empty_like(out)
+        # one allocation for both scratch buffers: when glibc frees it, its
+        # dynamic mmap threshold rises to the buffer's size and the heap trim
+        # threshold to twice that, so after a hot-block fill the CU batch
+        # engine's per-chunk temporaries stay in the heap instead of being
+        # trimmed and re-faulted on every batch
+        mid, tmp = np.empty((2,) + out.shape, dtype=np.uint64)
         # Horner evaluation seeded with each row's leading coefficient (the
         # first iteration of the classical loop is a multiply by zero)
         acc = coefficients[:, :1]

@@ -132,7 +132,11 @@ class TestBiasHeapMatchesReference:
             heap.update(bucket, delta)
             reference.update(bucket, delta)
             assert_identical(heap, reference)
-            if destination != 1 or ranked[low] < target < ranked[high - 1]:
+            # ``w + (target·π − w)`` rounds at the magnitude of the old ``w``,
+            # so a bucket coming down from far above can land just outside a
+            # narrow middle window: rank the average it actually holds
+            landed = reference.w[bucket] / pi[bucket]
+            if destination != 1 or ranked[low] < landed < ranked[high - 1]:
                 assert heap.locations[bucket] == destination
 
     def test_signed_zero_middle_sums(self):
