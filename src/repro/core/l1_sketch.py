@@ -98,8 +98,10 @@ class L1BiasAwareSketch(LinearSketch):
     def _estimate(self, keys) -> np.ndarray:
         """Algorithm 2's recovery of one validated key or a batch of them."""
         beta = self.estimate_bias()
-        counters, pi = self._table.gather(keys, self._pi)
-        return median_over_rows(counters - beta * pi) + beta
+        debiased = self._table.row_estimates(
+            keys, lambda counters, pi: counters - beta * pi, self._pi
+        )
+        return median_over_rows(debiased) + beta
 
     # ------------------------------------------------------------------ #
     # configuration

@@ -112,8 +112,10 @@ class L2BiasAwareSketch(LinearSketch):
     def _estimate(self, keys) -> np.ndarray:
         """Algorithm 4's recovery of one validated key or a batch of them."""
         beta = self.estimate_bias()
-        counters, psi, signs = self._cs_table.gather(keys, self._psi)
-        return median_over_rows((counters - beta * psi) * signs) + beta
+        debiased = self._cs_table.row_estimates(
+            keys, lambda counters, psi: counters - beta * psi, self._psi
+        )
+        return median_over_rows(debiased) + beta
 
     # ------------------------------------------------------------------ #
     # configuration

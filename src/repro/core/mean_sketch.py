@@ -78,10 +78,10 @@ class MeanBiasSketch(LinearSketch):
     def _estimate(self, keys) -> np.ndarray:
         """De-bias by the mean and median-combine one validated key or a batch."""
         beta = self.estimate_bias()
-        values = self._table.gather(keys, self._column_sums)
-        debiased = values[0] - beta * values[1]
-        if self.signed:
-            debiased = debiased * values[2]
+        debiased = self._table.row_estimates(
+            keys, lambda counters, sums: counters - beta * sums,
+            self._column_sums,
+        )
         return median_over_rows(debiased) + beta
 
     # ------------------------------------------------------------------ #

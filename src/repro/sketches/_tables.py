@@ -32,13 +32,17 @@ the O(n) scan each.  The hash and sign families of an integer seed are
 memoised the same way, so a restore, a ``copy()`` or a fresh window pane
 does not re-draw them.
 
-Every point query reads through one kernel.  :meth:`HashedCounterTable.gather`
-turns a key batch into flat cells once (bucket columns plus row offsets) and
-reads the counters, and each per-bucket array such as π/ψ, with one
-``take`` each; the sketch applies its estimation rule to those
-``(depth, keys)`` arrays, and :func:`median_over_rows` combines the rows of
-the median kinds.  The min kinds read through
-:meth:`HashedCounterTable.row_estimates`, which rides the same gather.
+Every point query reads through one kernel.
+:meth:`HashedCounterTable.row_estimates` turns a key batch into flat cells
+once (bucket columns plus row offsets) and reads the ``(depth, keys)`` row
+estimates at them, under the kind's elementwise de-biasing rule if it has
+one: per cell for a batch narrower than the table, once per bucket of the
+whole table for a wider one.  The min kinds take the minimum of the rows,
+and :func:`median_over_rows` combines the rows of the median kinds, by a
+selection network on a wide batch of an odd depth and by a partition
+otherwise.  Both switches are sizes the kernel sees, so a narrow point query
+keeps the per-cell rule and the partition, and only a wide read (a
+heavy-hitter scan, ``recover()``, a range sum) takes the other side.
 """
 
 from __future__ import annotations
@@ -103,21 +107,107 @@ def _seeded_families(structure_key: Tuple):
     return _draw_families(seed, width, depth, signed)
 
 
+#: the deepest odd depth whose median a selection network serves: its
+#: comparators stream the whole batch once each, and from depth 27 on a
+#: 20,000-key batch they cost more than one ``np.partition``
+NETWORK_MAX_DEPTH = 25
+
+#: a batch takes the network once it has this many keys per comparator;
+#: at every depth measured the network overtook the partition below 32
+NETWORK_KEYS_PER_COMPARATOR = 64
+
+
+def _batcher_comparators(size: int) -> List[Tuple[int, int]]:
+    """Batcher's odd–even merge sort of ``size`` (a power of two) rows."""
+    pairs = []
+    merged = 1
+    while merged < size:
+        step = merged
+        while step >= 1:
+            for base in range(step % merged, size - step, 2 * step):
+                for offset in range(min(step, size - base - step)):
+                    low = base + offset
+                    if low // (2 * merged) == (low + step) // (2 * merged):
+                        pairs.append((low, low + step))
+            step //= 2
+        merged *= 2
+    return pairs
+
+
+@functools.lru_cache(maxsize=32)
+def median_network(depth: int) -> Optional[Tuple[Tuple[int, int, bool, bool],
+                                                 ...]]:
+    """The compare-exchanges that bring the middle of ``depth`` rows to its row.
+
+    Each entry ``(low, high, keep_min, keep_max)`` moves the smaller of rows
+    ``low < high`` to ``low`` and the larger to ``high``, and names which of
+    the two results a later entry (or the middle row itself) still reads.
+    Built from Batcher's sort of the next power of two: a comparator that
+    touches a row ``>= depth`` would face +∞ padding and never swap, and one
+    on no path to the middle row is dropped.  That leaves 8 comparators at
+    depth 5 and 24 at depth 9.  ``None`` for an even depth, or one deeper
+    than :data:`NETWORK_MAX_DEPTH`.
+    """
+    if depth % 2 == 0 or depth > NETWORK_MAX_DEPTH:
+        return None
+    size = 1 << (depth - 1).bit_length()
+    live = {depth // 2}
+    kept = []
+    for low, high in reversed(_batcher_comparators(size)):
+        if high < depth and (low in live or high in live):
+            kept.append((low, high, low in live, high in live))
+            live.update((low, high))
+    return tuple(reversed(kept))
+
+
+def _network_middle(values: np.ndarray, network) -> np.ndarray:
+    """Run ``network`` over a scratch copy of the rows; the middle row.
+
+    The copy has one spare row: a comparator whose two results are both read
+    later writes its minimum there and swaps it in for ``low``, so no
+    comparator allocates.
+    """
+    depth = values.shape[0]
+    scratch = np.empty((depth + 1,) + values.shape[1:], dtype=values.dtype)
+    scratch[:depth] = values
+    rows = list(scratch)
+    spare = rows.pop()
+    for low, high, keep_min, keep_max in network:
+        if keep_min and keep_max:
+            np.minimum(rows[low], rows[high], out=spare)
+            np.maximum(rows[low], rows[high], out=rows[high])
+            rows[low], spare = spare, rows[low]
+        elif keep_min:
+            np.minimum(rows[low], rows[high], out=rows[low])
+        else:
+            np.maximum(rows[low], rows[high], out=rows[high])
+    return rows[depth // 2]
+
+
 def median_over_rows(values: np.ndarray) -> np.ndarray:
     """``np.median(values, axis=0)``, bit for bit, without its generic overhead.
 
     ``np.median`` partitions on the middle rank(s) *and* on ``-1`` for its NaN
     check, then takes the ``np.mean`` of the middle slice.  For an odd depth
-    this partitions on the middle rank alone and adds the ``0.0`` that the
-    mean's sum starts from (which turns a ``-0.0`` median into ``0.0``, and
-    makes the result independent of which signed zero the partition leaves
-    in the middle).  An even depth takes numpy's own mean of the two middle
-    rows.  A batch holding a NaN falls back to ``np.median`` itself.
+    this selects the middle rank alone and adds the ``0.0`` that the mean's
+    sum starts from (which turns a ``-0.0`` median into ``0.0``, and makes the
+    result independent of which signed zero the selection leaves in the
+    middle).  A batch at least :data:`NETWORK_KEYS_PER_COMPARATOR` keys wide
+    per comparator of its :func:`median_network` selects by that network;
+    a narrower one partitions on the middle rank.  An even depth takes
+    numpy's own mean of the two middle rows.  A batch holding a NaN falls
+    back to ``np.median`` itself.
     """
     if np.isnan(values).any():
         return np.median(values, axis=0)
     middle = values.shape[0] // 2
     if values.shape[0] % 2:
+        # a narrow batch leaves at the first test: no network is that short
+        if values.shape[-1] >= NETWORK_KEYS_PER_COMPARATOR and values.ndim == 2:
+            network = median_network(values.shape[0])
+            if network and (values.shape[1]
+                            >= NETWORK_KEYS_PER_COMPARATOR * len(network)):
+                return _network_middle(values, network) + 0.0
         return np.partition(values, middle, axis=0)[middle] + 0.0
     part = np.partition(values, (middle - 1, middle), axis=0)
     return np.mean(part[middle - 1:middle + 1], axis=0)
@@ -389,36 +479,42 @@ class HashedCounterTable:
     # ------------------------------------------------------------------ #
     # estimates
     # ------------------------------------------------------------------ #
-    def gather(self, keys, *per_bucket: np.ndarray) -> List[np.ndarray]:
-        """What a point query reads at the cells of a key batch or one key.
+    def row_estimates(self, keys, rule=None, *per_bucket: np.ndarray):
+        """Per-row estimates of a key batch or one key (sign-corrected if signed).
 
-        Returns the counters, then each ``per_bucket`` array (π or ψ, say,
-        shaped like the table), then — for a signed table only — the keys'
-        ±1 signs.  For a batch each result has shape ``(depth, len(keys))``,
-        column ``j`` holding row ``r``'s entry at bucket ``h_r(keys[j])``;
-        for a single ``int`` key it has shape ``(depth,)``.  The flat cells
-        (bucket columns plus row offsets) are computed once, and each array
-        is read with one ``take``.  A single key is addressed by the scalar
-        hash path, which beats one-element numpy machinery by microseconds.
+        For a batch the result has shape ``(depth, len(keys))``, column ``j``
+        holding row ``r``'s estimate at bucket ``h_r(keys[j])``; for a single
+        ``int`` key it has shape ``(depth,)``.  ``rule``, when given, is the
+        kind's elementwise de-biasing rule: it maps the counters and each
+        ``per_bucket`` array (π or ψ, say, shaped like the table) to one
+        value per cell, and the keys' ±1 signs multiply what it returns.
+
+        The flat cells (bucket columns plus row offsets) are computed once.
+        A batch at least ``width`` keys wide applies ``rule`` once to the
+        whole table and reads its result with one ``take``; a narrower batch
+        or one key reads the counters and each ``per_bucket`` array with one
+        ``take`` each and applies ``rule`` to those.  Both run the same float
+        operations on the same operands, so they agree bit for bit.  A
+        single key is addressed by the scalar hash path, which beats
+        one-element numpy machinery by microseconds.
         """
         if isinstance(keys, int):
             cells = self.bucket_column(keys) + self._row_offsets[:, 0]
             signs = self.sign_column(keys) if self.signed else None
         else:
-            cells = self.bucket_columns(keys) + self._row_offsets
+            cells = self.bucket_columns(keys)
+            cells += self._row_offsets
             signs = self.sign_columns(keys) if self.signed else None
-        values = [array.take(cells) for array in (self.table, *per_bucket)]
-        return values if signs is None else values + [signs]
-
-    def row_estimates(self, keys) -> np.ndarray:
-        """Per-row estimates of a key batch or one key (sign-corrected if signed).
-
-        Shaped as the results of :meth:`gather`.
-        """
-        values = self.gather(keys)
-        if self.signed:
-            values[0] *= values[1]
-        return values[0]
+        if rule is None:
+            values = self.table.take(cells)
+        elif cells.ndim == 2 and cells.shape[1] >= self.width:
+            values = rule(self.table, *per_bucket).take(cells)
+        else:
+            values = rule(*[array.take(cells)
+                            for array in (self.table, *per_bucket)])
+        if signs is not None:
+            values *= signs
+        return values
 
     # ------------------------------------------------------------------ #
     # structural vectors used by the bias-aware recovery

@@ -97,11 +97,17 @@ class DebiasedCountMin(LinearSketch):
 
     def _estimate(self, keys) -> np.ndarray:
         """Subtract each bucket's background and median-combine, per key."""
-        counters, bucket_sizes = self._table.gather(keys, self._pi)
+        return median_over_rows(
+            self._table.row_estimates(keys, self._debiased, self._pi)
+        )
+
+    def _debiased(self, counters: np.ndarray,
+                  bucket_sizes: np.ndarray) -> np.ndarray:
+        """Each counter less its bucket's background, cell by cell."""
         outside_mass = self._total_mass - counters
         outside_items = np.maximum(self.dimension - bucket_sizes, 1.0)
         background = outside_mass / outside_items * (bucket_sizes - 1.0)
-        return median_over_rows(counters - background)
+        return counters - background
 
     @property
     def total_mass(self) -> float:

@@ -7,8 +7,12 @@ Hypothesis profiles: the property suites run under the profile named by the
 ``HYPOTHESIS_PROFILE`` environment variable (CI pins ``ci``).  The ``ci``
 profile derandomises example generation and disables deadlines so the
 property budget is fixed and runs are reproducible; ``dev`` is a slightly
-richer local profile.  Individual suites may still cap ``max_examples``
-per-test where a case iterates over every registered sketch.
+richer local profile.  With the variable unset, ``derandomized`` keeps
+hypothesis's default example budget and deadline but draws the same
+examples on every run and keeps no example database, so a run in one
+directory never replays a failure stored by an earlier one.  Individual
+suites may still cap ``max_examples`` per-test where a case iterates over
+every registered sketch.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile("dev", max_examples=50, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture
