@@ -168,7 +168,7 @@ def _network_middle(values: np.ndarray, network) -> np.ndarray:
     comparator allocates.
     """
     depth = values.shape[0]
-    scratch = np.empty((depth + 1,) + values.shape[1:], dtype=values.dtype)
+    scratch = np.empty((depth + 1, values.shape[1]), dtype=values.dtype)
     scratch[:depth] = values
     rows = list(scratch)
     spare = rows.pop()
